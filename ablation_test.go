@@ -10,6 +10,7 @@
 package repro
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -138,11 +139,11 @@ func benchParstoreScan(b *testing.B, partitions int) {
 	filter := []engine.EqFilter{{Col: 1, Val: value.Int(13)}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		it, err := st.Select("t", filter, nil)
+		it, err := st.SelectBatchCounted(context.Background(), "t", filter, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		rows, err := engine.Drain(it)
+		rows, err := engine.DrainBatches(it)
 		if err != nil {
 			b.Fatal(err)
 		}

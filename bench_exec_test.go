@@ -1,21 +1,17 @@
-// Vectorized-executor microbenchmarks: the batch pipeline (exec operators
-// exchanging value.Batch slabs) against the tuple-at-a-time baseline the
-// seed shipped (engine.Iterator chains crossing one interface call per
-// tuple per operator). Three shapes, matching the executor's hot paths:
+// Executor micro-benchmarks: allocation guards for the batch pipeline
+// (exec operators exchanging value.Batch slabs) on the executor's hot
+// shapes. They support no performance claim — bench/ measures the
+// mediator end to end.
 //
-//	ExecScan     — residual filter + projection over a wide scan
-//	ExecHashJoin — natural hash join, build + probe
-//	ExecBindJoin — dependent access with duplicate-heavy bind keys
-//
-// The Tuple variants reimplement the pre-vectorization operator mechanics
-// faithfully (per-row FilterIterator/ProjectIterator hops, per-left-row
-// join output allocation, one Fetch per left tuple) so BENCH_<n>.json
-// tracks the before/after of the refactor.
+//	ExecBatchScan     — residual filter + projection over a wide scan
+//	ExecBatchHashJoin — natural hash join, build + probe
+//	ExecBatchScanJoin — scan + join + distinct, the residual work of a
+//	                    non-delegated cross-store join
+//	ExecBatchBindJoin — dependent access with duplicate-heavy bind keys
 package repro
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/engines/engine"
@@ -51,35 +47,6 @@ func BenchmarkExecBatchScan(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(out) != want {
-			b.Fatalf("rows = %d, want %d", len(out), want)
-		}
-	}
-}
-
-// BenchmarkExecTupleScan is the seed's row-at-a-time pipeline: one
-// interface call per tuple per operator, one projection allocation per row.
-func BenchmarkExecTupleScan(b *testing.B) {
-	rows := scanRows()
-	want := benchScanRows / 13
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var it engine.Iterator = engine.NewSliceIterator(rows)
-		it = &engine.FilterIterator{In: it, Filters: []engine.EqFilter{{Col: 2, Val: value.Str("city07")}}}
-		it = &engine.ProjectIterator{In: it, Cols: []int{0, 1}}
-		var out []value.Tuple
-		for {
-			t, ok := it.Next()
-			if !ok {
-				break
-			}
-			out = append(out, t)
-		}
-		if err := it.Err(); err != nil {
-			b.Fatal(err)
-		}
-		it.Close()
 		if len(out) != want {
 			b.Fatalf("rows = %d, want %d", len(out), want)
 		}
@@ -125,49 +92,6 @@ func BenchmarkExecBatchHashJoin(b *testing.B) {
 	}
 }
 
-// BenchmarkExecTupleHashJoin replicates the pre-vectorization hashJoinIter:
-// per-row key rendering into a fresh scratch tuple, per-row output
-// allocation, one Next() interface hop per probe tuple.
-func BenchmarkExecTupleHashJoin(b *testing.B) {
-	left, right := joinInputs()
-	keyOf := func(t value.Tuple, cols []int) string {
-		parts := make(value.Tuple, len(cols))
-		for i, c := range cols {
-			parts[i] = t[c]
-		}
-		return parts.Key()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		table := make(map[string][]value.Tuple, len(right))
-		for _, r := range right {
-			k := keyOf(r, []int{0})
-			table[k] = append(table[k], r)
-		}
-		lit := engine.NewSliceIterator(left)
-		var out []value.Tuple
-		for {
-			l, ok := lit.Next()
-			if !ok {
-				break
-			}
-			for _, r := range table[keyOf(l, []int{0})] {
-				row := make(value.Tuple, 0, len(l)+1)
-				row = append(row, l...)
-				row = append(row, r[1])
-				out = append(out, row)
-			}
-		}
-		if len(out) != benchJoinLeft {
-			b.Fatalf("rows = %d, want %d", len(out), benchJoinLeft)
-		}
-	}
-}
-
-// Scan+join+distinct — the full residual-work shape the mediator runs for
-// a non-delegated cross-store join (the acceptance pipeline).
-
 func BenchmarkExecBatchScanJoin(b *testing.B) {
 	left, right := joinInputs()
 	var plan exec.Node = &exec.Select{
@@ -180,68 +104,12 @@ func BenchmarkExecBatchScanJoin(b *testing.B) {
 	}
 	plan = &exec.Distinct{In: plan}
 	want := benchJoinLeft / 7
-	// One untimed run plus a GC fence: this series gates the BENCH_<n>
-	// regression comparison at -benchtime=1x, where first-iteration pool
-	// warmup and garbage left by earlier benchmarks would dominate the
-	// single timed sample.
-	if _, err := exec.Run(plan); err != nil {
-		b.Fatal(err)
-	}
-	runtime.GC()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out, err := exec.Run(plan)
 		if err != nil {
 			b.Fatal(err)
-		}
-		if len(out) != want {
-			b.Fatalf("rows = %d, want %d", len(out), want)
-		}
-	}
-}
-
-// BenchmarkExecTupleScanJoin is the same pipeline on the seed's
-// row-at-a-time mechanics: iterator hops through the filter, per-row key
-// rendering and output allocation in the join, per-row dedup keys.
-func BenchmarkExecTupleScanJoin(b *testing.B) {
-	left, right := joinInputs()
-	keyOf := func(t value.Tuple, cols []int) string {
-		parts := make(value.Tuple, len(cols))
-		for i, c := range cols {
-			parts[i] = t[c]
-		}
-		return parts.Key()
-	}
-	want := benchJoinLeft / 7
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		table := make(map[string][]value.Tuple, len(right))
-		for _, r := range right {
-			k := keyOf(r, []int{0})
-			table[k] = append(table[k], r)
-		}
-		var lit engine.Iterator = engine.NewSliceIterator(left)
-		lit = &engine.FilterIterator{In: lit, Filters: []engine.EqFilter{{Col: 2, Val: value.Int(3)}}}
-		seen := map[string]struct{}{}
-		var out []value.Tuple
-		for {
-			l, ok := lit.Next()
-			if !ok {
-				break
-			}
-			for _, r := range table[keyOf(l, []int{0})] {
-				row := make(value.Tuple, 0, len(l)+1)
-				row = append(row, l...)
-				row = append(row, r[1])
-				k := row.Key()
-				if _, dup := seen[k]; dup {
-					continue
-				}
-				seen[k] = struct{}{}
-				out = append(out, row)
-			}
 		}
 		if len(out) != want {
 			b.Fatalf("rows = %d, want %d", len(out), want)
@@ -287,44 +155,6 @@ func BenchmarkExecBatchBindJoin(b *testing.B) {
 		out, err := exec.Run(bj)
 		if err != nil {
 			b.Fatal(err)
-		}
-		if len(out) != 2*benchBindLeft {
-			b.Fatalf("rows = %d, want %d", len(out), 2*benchBindLeft)
-		}
-	}
-}
-
-// BenchmarkExecTupleBindJoin replicates the pre-vectorization bindJoinIter:
-// one dependent access per left tuple (no bind-key dedup), per-row output
-// allocation.
-func BenchmarkExecTupleBindJoin(b *testing.B) {
-	left, store := bindInputs()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lit := engine.NewSliceIterator(left)
-		var out []value.Tuple
-		for {
-			l, ok := lit.Next()
-			if !ok {
-				break
-			}
-			bind := make(value.Tuple, 1)
-			bind[0] = l[0]
-			rit := engine.NewSliceIterator(store[string(bind[0].(value.Str))])
-			rows, err := engine.Drain(rit)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, r := range rows {
-				if !value.Equal(r[0], l[0]) {
-					continue
-				}
-				row := make(value.Tuple, 0, len(l)+1)
-				row = append(row, l...)
-				row = append(row, r[1])
-				out = append(out, row)
-			}
 		}
 		if len(out) != 2*benchBindLeft {
 			b.Fatalf("rows = %d, want %d", len(out), 2*benchBindLeft)

@@ -543,10 +543,9 @@ func benchmarkServiceThroughput(b *testing.B, clients int, next func(client, op 
 		}
 	}
 	opsPer := b.N/clients + 1
-	// Floor the per-client op count so a -benchtime=1x snapshot (the
-	// `make bench` regression series) still measures a meaningful
-	// closed-loop sample: a 2-op run is all warmup noise, and qps — not
-	// ns/op — is the comparison metric for this family.
+	// Floor the per-client op count so a -benchtime=1x run still measures
+	// a meaningful closed-loop sample: a 2-op run is all warmup noise, and
+	// qps — not ns/op — is the comparison metric for this family.
 	if opsPer < 100 {
 		opsPer = 100
 	}

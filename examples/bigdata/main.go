@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -60,11 +61,11 @@ func main() {
 		log.Fatal(err)
 	}
 	spark := d.Sys.Stores.Par["spark"]
-	it, err := spark.Aggregate("uservisits", nil, []int{5}, "sum", 3)
+	it, err := spark.Aggregate(context.Background(), "uservisits", nil, []int{5}, "sum", 3, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rows, err := engine.Drain(it)
+	rows, err := engine.DrainBatches(it)
 	if err != nil {
 		log.Fatal(err)
 	}

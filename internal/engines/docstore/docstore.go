@@ -353,38 +353,11 @@ func (s *Store) findCounted(ctx context.Context, collName string, filters []Path
 	return out, nil
 }
 
-// FindTuples runs Find and projects each matching document into a tuple
-// along the given paths; missing paths project to NULL. Documents whose
-// projected path hits an array are unnested: one output tuple per array
-// element combination along the first array encountered.
-func (s *Store) FindTuples(collName string, filters []PathFilter, paths []string) (engine.Iterator, error) {
-	return s.FindTuplesCounted(context.Background(), collName, filters, paths, nil)
-}
-
-// FindTuplesCounted is FindTuples with the operations additionally
-// attributed to a per-execution counter cell (nil = store-global counting
-// only) and the request bound to a context.
-func (s *Store) FindTuplesCounted(ctx context.Context, collName string, filters []PathFilter, paths []string, extra *engine.Counters) (engine.Iterator, error) {
-	docs, err := s.findCounted(ctx, collName, filters, engine.NewTally(&s.counters, extra))
-	if err != nil {
-		return nil, err
-	}
-	var rows []value.Tuple
-	for _, d := range docs {
-		rows = append(rows, ProjectDoc(d, paths)...)
-	}
-	return engine.NewSliceIterator(rows), nil
-}
-
-// FindTuplesBatch is the native batch scan: FindTuples delivered as
-// value.Batch slabs.
-func (s *Store) FindTuplesBatch(collName string, filters []PathFilter, paths []string) (engine.BatchIterator, error) {
-	return s.FindTuplesBatchCounted(context.Background(), collName, filters, paths, nil)
-}
-
-// FindTuplesBatchCounted is FindTuplesBatch with the operations
-// additionally attributed to a per-execution counter cell (nil =
-// store-global counting only) and the request bound to a context.
+// FindTuplesBatchCounted runs the Find access and projects each matching
+// document into a tuple along the given paths; missing paths project to
+// NULL. Documents whose projected path hits an array are unnested: one
+// output tuple per array element combination along the first array
+// encountered.
 func (s *Store) FindTuplesBatchCounted(ctx context.Context, collName string, filters []PathFilter, paths []string, extra *engine.Counters) (engine.BatchIterator, error) {
 	docs, err := s.findCounted(ctx, collName, filters, engine.NewTally(&s.counters, extra))
 	if err != nil {

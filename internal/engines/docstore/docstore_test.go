@@ -1,6 +1,7 @@
 package docstore
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -18,6 +19,21 @@ func toAny(docs []*value.Doc) []any {
 		out[i] = d
 	}
 	return out
+}
+
+// findTuples drains one un-attributed FindTuplesBatchCounted request on
+// "carts".
+func findTuples(t *testing.T, s *Store, filters []PathFilter, paths []string) []value.Tuple {
+	t.Helper()
+	it, err := s.FindTuplesBatchCounted(context.Background(), "carts", filters, paths, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := engine.DrainBatches(it)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
 }
 
 func newCarts(t *testing.T) *Store {
@@ -111,13 +127,8 @@ func TestFindMissingPathNeverMatches(t *testing.T) {
 
 func TestFindTuplesUnnestsItems(t *testing.T) {
 	s := newCarts(t)
-	it, err := s.FindTuples("carts",
-		[]PathFilter{{Path: "user", Val: value.Str("u1")}},
+	rows := findTuples(t, s, []PathFilter{{Path: "user", Val: value.Str("u1")}},
 		[]string{"user", "items.sku", "items.qty"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _ := engine.Drain(it)
 	if len(rows) != 2 {
 		t.Fatalf("unnest produced %d rows, want 2: %v", len(rows), rows)
 	}
@@ -131,13 +142,8 @@ func TestFindTuplesUnnestsItems(t *testing.T) {
 
 func TestFindTuplesEmptyArray(t *testing.T) {
 	s := newCarts(t)
-	it, err := s.FindTuples("carts",
-		[]PathFilter{{Path: "user", Val: value.Str("u3")}},
+	rows := findTuples(t, s, []PathFilter{{Path: "user", Val: value.Str("u3")}},
 		[]string{"user", "items.sku"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _ := engine.Drain(it)
 	// u3 has an empty items array: unnesting yields zero rows.
 	if len(rows) != 0 {
 		t.Errorf("empty array produced rows: %v", rows)
@@ -146,11 +152,7 @@ func TestFindTuplesEmptyArray(t *testing.T) {
 
 func TestFindTuplesScalarOnly(t *testing.T) {
 	s := newCarts(t)
-	it, err := s.FindTuples("carts", nil, []string{"user"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _ := engine.Drain(it)
+	rows := findTuples(t, s, nil, []string{"user"})
 	if len(rows) != 3 {
 		t.Errorf("scalar projection rows = %d, want 3", len(rows))
 	}

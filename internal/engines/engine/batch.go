@@ -4,12 +4,17 @@ import (
 	"repro/internal/value"
 )
 
-// Vectorized iteration protocol. BatchIterator is the batch-at-a-time
-// counterpart of Iterator: one virtual call delivers up to a whole
-// value.Batch of tuples, amortizing interface dispatch, cancellation
-// checks and counter attribution over hundreds of rows. Stores expose
-// native batch scans; the adapters below bridge both directions so tuple
-// and batch code can interoperate during (and after) the migration.
+// The read protocol. Every store read returns a BatchIterator: one virtual
+// call delivers up to a whole value.Batch of tuples, amortizing interface
+// dispatch, cancellation checks and counter attribution over hundreds of
+// rows. There is no row-at-a-time counterpart below exec.Rows.
+//
+// Every store read also has the same shape, (ctx, …, extra *Counters)
+// (BatchIterator, error), and the same contract: it counts one request,
+// passes EnterRequest (simulated latency and injected stalls, both
+// honouring ctx), fans its counts out through a Tally to the store-global
+// Counters and to extra — the caller's per-execution cell, nil for
+// store-global counting only — and wraps its stream in Fault.WrapBatch.
 
 // BatchIterator streams tuples in batches. Implementations are
 // single-goroutine unless documented otherwise; Close must be idempotent.
@@ -52,121 +57,6 @@ func (it *SliceBatchIterator) NextBatch(dst *value.Batch) (int, error) {
 
 // Close implements BatchIterator.
 func (*SliceBatchIterator) Close() {}
-
-// tupleBatchAdapter lifts a tuple Iterator into the batch protocol — the
-// shared tuple→batch adapter stores use while they migrate incrementally.
-type tupleBatchAdapter struct {
-	in Iterator
-}
-
-// ToBatch adapts a tuple iterator to the batch protocol. Fast paths:
-// slice-backed iterators batch without per-tuple interface calls, and a
-// freshly tuple-adapted batch iterator unwraps to the original.
-func ToBatch(in Iterator) BatchIterator {
-	switch x := in.(type) {
-	case *SliceIterator:
-		return &SliceBatchIterator{rows: x.rows, pos: x.pos}
-	case *batchTupleAdapter:
-		if x.buf != nil && x.buf.Len() == 0 && x.pos == 0 && x.err == nil && !x.done {
-			// Detach the adapter: return its pooled buffer and disconnect
-			// it from the inner iterator, so a later defensive Close on
-			// the abandoned adapter cannot close the iterator we return.
-			inner := x.in
-			if x.buf.Cap() == value.BatchCap {
-				value.PutBatch(x.buf)
-			}
-			x.buf = value.NewBatch(1)
-			x.in = nopBatchIterator{}
-			x.done = true
-			return inner
-		}
-	}
-	return &tupleBatchAdapter{in: in}
-}
-
-// nopBatchIterator is an exhausted, close-safe placeholder.
-type nopBatchIterator struct{}
-
-func (nopBatchIterator) NextBatch(dst *value.Batch) (int, error) {
-	dst.Reset()
-	return 0, nil
-}
-func (nopBatchIterator) Close() {}
-
-// NextBatch implements BatchIterator.
-func (it *tupleBatchAdapter) NextBatch(dst *value.Batch) (int, error) {
-	dst.Reset()
-	for !dst.Full() {
-		t, ok := it.in.Next()
-		if !ok {
-			if err := it.in.Err(); err != nil {
-				return 0, err
-			}
-			break
-		}
-		dst.Append(t)
-	}
-	return dst.Len(), nil
-}
-
-// Close implements BatchIterator.
-func (it *tupleBatchAdapter) Close() { it.in.Close() }
-
-// batchTupleAdapter drains a BatchIterator one tuple at a time — the
-// TupleAdapter shim keeping row-at-a-time call sites working.
-type batchTupleAdapter struct {
-	in   BatchIterator
-	buf  *value.Batch
-	pos  int
-	err  error
-	done bool
-}
-
-// ToTuples adapts a batch iterator to the tuple protocol.
-func ToTuples(in BatchIterator) Iterator {
-	if a, ok := in.(*tupleBatchAdapter); ok {
-		return a.in
-	}
-	return &batchTupleAdapter{in: in, buf: value.GetBatch()}
-}
-
-// Next implements Iterator.
-func (it *batchTupleAdapter) Next() (value.Tuple, bool) {
-	for {
-		if it.pos < it.buf.Len() {
-			t := it.buf.Row(it.pos)
-			it.pos++
-			return t, true
-		}
-		if it.done || it.err != nil {
-			return nil, false
-		}
-		n, err := it.in.NextBatch(it.buf)
-		it.pos = 0
-		if err != nil {
-			it.err = err
-			return nil, false
-		}
-		if n == 0 {
-			it.done = true
-			return nil, false
-		}
-	}
-}
-
-// Err implements Iterator.
-func (it *batchTupleAdapter) Err() error { return it.err }
-
-// Close implements Iterator.
-func (it *batchTupleAdapter) Close() {
-	it.in.Close()
-	if it.buf != nil && it.buf.Cap() == value.BatchCap {
-		value.PutBatch(it.buf)
-	}
-	it.buf = value.NewBatch(1)
-	it.pos = 0
-	it.done = true
-}
 
 // DrainBatches exhausts a batch iterator into a slice (closing it).
 func DrainBatches(it BatchIterator) ([]value.Tuple, error) {

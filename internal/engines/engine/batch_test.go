@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/value"
@@ -30,68 +29,6 @@ func TestSliceBatchIterator(t *testing.T) {
 		}
 	}
 }
-
-func TestToBatchAndBackRoundTrip(t *testing.T) {
-	rows := rowsN(300)
-	// tuple → batch → tuple
-	it := ToTuples(ToBatch(NewSliceIterator(rows)))
-	got, err := Drain(it)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 300 {
-		t.Fatalf("round trip lost rows: %d", len(got))
-	}
-	// batch → tuple → batch (must unwrap to the original)
-	bit := ToBatch(ToTuples(NewSliceBatchIterator(rows)))
-	got2, err := DrainBatches(bit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got2) != 300 {
-		t.Fatalf("unwrap lost rows: %d", len(got2))
-	}
-}
-
-type errIter struct {
-	n   int
-	err error
-}
-
-func (it *errIter) Next() (value.Tuple, bool) {
-	if it.n > 0 {
-		it.n--
-		return value.TupleOf(it.n), true
-	}
-	return nil, false
-}
-func (it *errIter) Err() error { return it.err }
-func (*errIter) Close()        {}
-
-func TestToBatchPropagatesDeferredError(t *testing.T) {
-	sentinel := errors.New("late failure")
-	_, err := DrainBatches(ToBatch(&errIter{n: 3, err: sentinel}))
-	if !errors.Is(err, sentinel) {
-		t.Errorf("err = %v", err)
-	}
-}
-
-func TestToTuplesPropagatesError(t *testing.T) {
-	sentinel := errors.New("batch failure")
-	it := ToTuples(&failingBatchIterator{err: sentinel})
-	if _, ok := it.Next(); ok {
-		t.Error("Next succeeded on failing iterator")
-	}
-	if !errors.Is(it.Err(), sentinel) {
-		t.Errorf("Err = %v", it.Err())
-	}
-	it.Close()
-}
-
-type failingBatchIterator struct{ err error }
-
-func (it *failingBatchIterator) NextBatch(*value.Batch) (int, error) { return 0, it.err }
-func (*failingBatchIterator) Close()                                 {}
 
 func TestBatchFilter(t *testing.T) {
 	rows := []value.Tuple{

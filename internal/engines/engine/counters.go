@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"sync"
-
-	"repro/internal/value"
-)
+import "sync"
 
 // Per-execution counter attribution. The store-global Counters of each
 // engine keep running totals for the whole deployment; attributing the
@@ -108,24 +104,3 @@ func (t Tally) AddTuples(n int) {
 		t.b.AddTuples(n)
 	}
 }
-
-// CountingIter tallies tuples as they stream out of a store access.
-type CountingIter struct {
-	In Iterator
-	T  Tally
-}
-
-// Next implements Iterator.
-func (it *CountingIter) Next() (value.Tuple, bool) {
-	t, ok := it.In.Next()
-	if ok {
-		it.T.AddTuples(1)
-	}
-	return t, ok
-}
-
-// Err implements Iterator.
-func (it *CountingIter) Err() error { return it.In.Err() }
-
-// Close implements Iterator.
-func (it *CountingIter) Close() { it.In.Close() }

@@ -69,18 +69,19 @@ func (q DQuery) Validate() error {
 	return nil
 }
 
-// AccessFunc answers a single-collection access with equality filters: the
-// store-specific access path used by EvalDelegate (index lookup, scan,
-// key get...).
-type AccessFunc func(collection string, filters []EqFilter) (Iterator, error)
+// AccessFunc answers a single-collection access with equality filters,
+// returning the matching rows: the store-specific access path used by
+// EvalDelegate (index lookup, scan, key get...).
+type AccessFunc func(collection string, filters []EqFilter) ([]value.Tuple, error)
 
 // EvalDelegate evaluates a delegated conjunctive query with an index
 // nested-loop strategy: atoms are processed greedily most-bound-first; for
 // each intermediate binding the next atom is accessed with all bound
 // positions pushed down as equality filters. This is the generic evaluator
 // reused by the relational and parallel substrates (which advertise
-// CapJoin).
-func EvalDelegate(q DQuery, access AccessFunc) (Iterator, error) {
+// CapJoin). The result is materialized before the first batch is handed
+// out.
+func EvalDelegate(q DQuery, access AccessFunc) (BatchIterator, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -120,11 +121,7 @@ func EvalDelegate(q DQuery, access AccessFunc) (Iterator, error) {
 					filters = append(filters, EqFilter{Col: pos, Val: bv})
 				}
 			}
-			it, err := access(atom.Collection, filters)
-			if err != nil {
-				return nil, err
-			}
-			rows, err := Drain(it)
+			rows, err := access(atom.Collection, filters)
 			if err != nil {
 				return nil, err
 			}
@@ -169,5 +166,5 @@ func EvalDelegate(q DQuery, access AccessFunc) (Iterator, error) {
 		}
 		out = append(out, row)
 	}
-	return NewSliceIterator(out), nil
+	return NewSliceBatchIterator(out), nil
 }

@@ -1,8 +1,9 @@
 // Package engine defines the service-provider interface shared by
 // ESTOCADA's storage substrates (the stand-ins for Postgres, Redis,
-// MongoDB, SOLR and Spark): tuple iterators, access-path abstractions,
-// capability flags, and per-store operation counters used to report the
-// per-DMS performance split of the demo (paper §IV, step 3).
+// MongoDB, SOLR and Spark): the batch read protocol (BatchIterator — the
+// only way rows leave a store), delegated conjunctive queries, capability
+// flags, the fault injector, and per-store operation counters used to
+// report the per-DMS performance split of the demo (paper §IV, step 3).
 package engine
 
 import (
@@ -132,104 +133,6 @@ func (s CounterSnapshot) Sub(o CounterSnapshot) CounterSnapshot {
 	}
 }
 
-// Iterator streams tuples. Implementations are single-goroutine unless
-// documented otherwise. Close must be idempotent.
-type Iterator interface {
-	// Next returns the next tuple; ok=false signals exhaustion.
-	Next() (t value.Tuple, ok bool)
-	// Err reports a deferred error after Next returned ok=false.
-	Err() error
-	// Close releases resources.
-	Close()
-}
-
-// SliceIterator iterates an in-memory tuple slice.
-type SliceIterator struct {
-	rows []value.Tuple
-	pos  int
-}
-
-// NewSliceIterator wraps rows (not copied).
-func NewSliceIterator(rows []value.Tuple) *SliceIterator {
-	return &SliceIterator{rows: rows}
-}
-
-// Next implements Iterator.
-func (it *SliceIterator) Next() (value.Tuple, bool) {
-	if it.pos >= len(it.rows) {
-		return nil, false
-	}
-	t := it.rows[it.pos]
-	it.pos++
-	return t, true
-}
-
-// Err implements Iterator.
-func (*SliceIterator) Err() error { return nil }
-
-// Close implements Iterator.
-func (*SliceIterator) Close() {}
-
-// ChanIterator adapts a channel of tuples (used by the parallel store).
-type ChanIterator struct {
-	C      <-chan value.Tuple
-	ErrC   <-chan error
-	closed chan struct{}
-	once   bool
-	err    error
-}
-
-// NewChanIterator builds an iterator over a tuple channel. errC may be nil.
-// The close channel, if non-nil, is closed by Close to cancel producers.
-func NewChanIterator(c <-chan value.Tuple, errC <-chan error, closed chan struct{}) *ChanIterator {
-	return &ChanIterator{C: c, ErrC: errC, closed: closed}
-}
-
-// Next implements Iterator.
-func (it *ChanIterator) Next() (value.Tuple, bool) {
-	t, ok := <-it.C
-	if !ok {
-		if it.ErrC != nil {
-			select {
-			case e, got := <-it.ErrC:
-				if got {
-					it.err = e
-				}
-			default:
-			}
-		}
-		return nil, false
-	}
-	return t, true
-}
-
-// Err implements Iterator.
-func (it *ChanIterator) Err() error { return it.err }
-
-// Close implements Iterator.
-func (it *ChanIterator) Close() {
-	if !it.once {
-		it.once = true
-		if it.closed != nil {
-			close(it.closed)
-		}
-	}
-}
-
-// Drain exhausts an iterator into a slice (closing it).
-func Drain(it Iterator) ([]value.Tuple, error) {
-	defer it.Close()
-	var out []value.Tuple
-	for {
-		t, ok := it.Next()
-		if !ok {
-			break
-		}
-		out = append(out, t)
-	}
-	return out, it.Err()
-}
-
 // EqFilter is an equality predicate on one column position.
 type EqFilter struct {
 	Col int
@@ -247,57 +150,3 @@ func MatchAll(t value.Tuple, filters []EqFilter) bool {
 	}
 	return true
 }
-
-// FilterIterator applies equality filters lazily.
-type FilterIterator struct {
-	In      Iterator
-	Filters []EqFilter
-}
-
-// Next implements Iterator.
-func (it *FilterIterator) Next() (value.Tuple, bool) {
-	for {
-		t, ok := it.In.Next()
-		if !ok {
-			return nil, false
-		}
-		if MatchAll(t, it.Filters) {
-			return t, true
-		}
-	}
-}
-
-// Err implements Iterator.
-func (it *FilterIterator) Err() error { return it.In.Err() }
-
-// Close implements Iterator.
-func (it *FilterIterator) Close() { it.In.Close() }
-
-// ProjectIterator projects column positions lazily.
-type ProjectIterator struct {
-	In   Iterator
-	Cols []int
-}
-
-// Next implements Iterator.
-func (it *ProjectIterator) Next() (value.Tuple, bool) {
-	t, ok := it.In.Next()
-	if !ok {
-		return nil, false
-	}
-	out := make(value.Tuple, len(it.Cols))
-	for i, c := range it.Cols {
-		if c >= 0 && c < len(t) {
-			out[i] = t[c]
-		} else {
-			out[i] = value.Null{}
-		}
-	}
-	return out, true
-}
-
-// Err implements Iterator.
-func (it *ProjectIterator) Err() error { return it.In.Err() }
-
-// Close implements Iterator.
-func (it *ProjectIterator) Close() { it.In.Close() }

@@ -6,65 +6,6 @@ import (
 	"repro/internal/value"
 )
 
-func rows(n int) []value.Tuple {
-	out := make([]value.Tuple, n)
-	for i := range out {
-		out[i] = value.TupleOf(i, "r")
-	}
-	return out
-}
-
-func TestSliceIterator(t *testing.T) {
-	it := NewSliceIterator(rows(3))
-	got, err := Drain(it)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || !value.Equal(got[2][0], value.Int(2)) {
-		t.Errorf("Drain = %v", got)
-	}
-	// Exhausted iterator keeps returning false.
-	if _, ok := it.Next(); ok {
-		t.Error("exhausted iterator returned a tuple")
-	}
-}
-
-func TestFilterIterator(t *testing.T) {
-	it := &FilterIterator{
-		In:      NewSliceIterator(rows(10)),
-		Filters: []EqFilter{{Col: 0, Val: value.Int(4)}},
-	}
-	got, _ := Drain(it)
-	if len(got) != 1 || !value.Equal(got[0][0], value.Int(4)) {
-		t.Errorf("filtered = %v", got)
-	}
-}
-
-func TestFilterOutOfRangeCol(t *testing.T) {
-	it := &FilterIterator{
-		In:      NewSliceIterator(rows(3)),
-		Filters: []EqFilter{{Col: 9, Val: value.Int(1)}},
-	}
-	got, _ := Drain(it)
-	if len(got) != 0 {
-		t.Errorf("out-of-range filter matched: %v", got)
-	}
-}
-
-func TestProjectIterator(t *testing.T) {
-	it := &ProjectIterator{In: NewSliceIterator(rows(2)), Cols: []int{1, 0, 7}}
-	got, _ := Drain(it)
-	if len(got) != 2 {
-		t.Fatalf("got %v", got)
-	}
-	if !value.Equal(got[0][0], value.Str("r")) || !value.Equal(got[0][1], value.Int(0)) {
-		t.Errorf("projection wrong: %v", got[0])
-	}
-	if got[0][2].Kind() != value.KindNull {
-		t.Errorf("out-of-range projection must be NULL, got %v", got[0][2])
-	}
-}
-
 func TestCounters(t *testing.T) {
 	var c Counters
 	c.AddRequest()
@@ -119,8 +60,14 @@ func TestDQueryValidate(t *testing.T) {
 
 // tableAccess builds an AccessFunc over in-memory named relations.
 func tableAccess(tables map[string][]value.Tuple) AccessFunc {
-	return func(coll string, filters []EqFilter) (Iterator, error) {
-		return &FilterIterator{In: NewSliceIterator(tables[coll]), Filters: filters}, nil
+	return func(coll string, filters []EqFilter) ([]value.Tuple, error) {
+		var out []value.Tuple
+		for _, r := range tables[coll] {
+			if MatchAll(r, filters) {
+				out = append(out, r)
+			}
+		}
+		return out, nil
 	}
 }
 
@@ -132,7 +79,7 @@ func TestEvalDelegateSingleAtom(t *testing.T) {
 		Atoms: []DAtom{{Collection: "R", Terms: []DTerm{DConst(value.Int(2)), DVar("y")}}},
 		Out:   []string{"y"},
 	}
-	got, err := Drain(mustEval(t, q, tableAccess(tables)))
+	got, err := DrainBatches(mustEval(t, q, tableAccess(tables)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +100,7 @@ func TestEvalDelegateJoin(t *testing.T) {
 		},
 		Out: []string{"a", "c"},
 	}
-	got, err := Drain(mustEval(t, q, tableAccess(tables)))
+	got, err := DrainBatches(mustEval(t, q, tableAccess(tables)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +117,7 @@ func TestEvalDelegateRepeatedVar(t *testing.T) {
 		Atoms: []DAtom{{Collection: "R", Terms: []DTerm{DVar("x"), DVar("x")}}},
 		Out:   []string{"x"},
 	}
-	got, err := Drain(mustEval(t, q, tableAccess(tables)))
+	got, err := DrainBatches(mustEval(t, q, tableAccess(tables)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +135,7 @@ func TestEvalDelegateEmptyResult(t *testing.T) {
 		},
 		Out: []string{"x"},
 	}
-	got, err := Drain(mustEval(t, q, tableAccess(tables)))
+	got, err := DrainBatches(mustEval(t, q, tableAccess(tables)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +144,7 @@ func TestEvalDelegateEmptyResult(t *testing.T) {
 	}
 }
 
-func mustEval(t *testing.T, q DQuery, a AccessFunc) Iterator {
+func mustEval(t *testing.T, q DQuery, a AccessFunc) BatchIterator {
 	t.Helper()
 	it, err := EvalDelegate(q, a)
 	if err != nil {
@@ -219,5 +166,8 @@ func TestMatchAll(t *testing.T) {
 	}
 	if MatchAll(row, []EqFilter{{-1, value.Int(1)}}) {
 		t.Error("negative column accepted")
+	}
+	if MatchAll(row, []EqFilter{{9, value.Int(1)}}) {
+		t.Error("out-of-range column accepted")
 	}
 }

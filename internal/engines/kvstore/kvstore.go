@@ -33,10 +33,6 @@ type Store struct {
 	hist     obs.Histogram
 	lat      engine.Latency
 	fault    engine.Fault
-	// allowScan permits full-collection enumeration (disabled by default,
-	// like a production KV store; enabled only for administrative use such
-	// as statistics collection).
-	allowScan bool
 }
 
 // New creates an empty key-value store.
@@ -52,9 +48,6 @@ func (s *Store) SetRequestLatency(d time.Duration) { s.lat.Set(d) }
 // RequestLatency reports the store's configured per-request latency model
 // (the planner reads it to scale per-store access costs).
 func (s *Store) RequestLatency() time.Duration { return s.lat.Get() }
-
-// AllowScan enables administrative full scans (statistics collection).
-func (s *Store) AllowScan(ok bool) { s.allowScan = ok }
 
 // Name implements engine.Engine.
 func (s *Store) Name() string { return s.name }
@@ -208,17 +201,10 @@ func (s *Store) DeleteTuple(collection, key string, t value.Tuple) (int, error) 
 	return removed, nil
 }
 
-// Get fetches and decodes the tuples stored under key. A missing key yields
-// an empty slice, not an error (KV semantics).
-func (s *Store) Get(collection, key string) ([]value.Tuple, error) {
-	return s.GetCounted(context.Background(), collection, key, nil)
-}
-
-// GetCounted is Get with the operations additionally attributed to a
-// per-execution counter cell (nil = store-global counting only) and the
-// request bound to a context (latency waits and injected stalls respect
-// it).
-func (s *Store) GetCounted(ctx context.Context, collection, key string, extra *engine.Counters) ([]value.Tuple, error) {
+// GetBatchCounted fetches and decodes the tuples stored under key — the
+// store's only query-time access path. A missing key yields an empty
+// stream, not an error (KV semantics).
+func (s *Store) GetBatchCounted(ctx context.Context, collection, key string, extra *engine.Counters) (engine.BatchIterator, error) {
 	tally := engine.NewTally(&s.counters, extra)
 	tally.AddRequest()
 	if err := s.enter(ctx); err != nil {
@@ -232,33 +218,16 @@ func (s *Store) GetCounted(ctx context.Context, collection, key string, extra *e
 	}
 	tally.AddLookup()
 	payloads := c[key]
-	out := make([]value.Tuple, 0, len(payloads))
+	rows := make([]value.Tuple, 0, len(payloads))
 	for _, p := range payloads {
 		t, err := value.DecodeTuple(p)
 		if err != nil {
 			return nil, fmt.Errorf("kvstore %s: corrupt payload under %q/%q: %w",
 				s.name, collection, key, err)
 		}
-		out = append(out, t)
+		rows = append(rows, t)
 	}
-	tally.AddTuples(len(out))
-	return out, nil
-}
-
-// GetBatch is the native batch access path: the tuples stored under key,
-// decoded once and delivered as value.Batch slabs.
-func (s *Store) GetBatch(collection, key string) (engine.BatchIterator, error) {
-	return s.GetBatchCounted(context.Background(), collection, key, nil)
-}
-
-// GetBatchCounted is GetBatch with the operations additionally attributed
-// to a per-execution counter cell (nil = store-global counting only) and
-// the request bound to a context.
-func (s *Store) GetBatchCounted(ctx context.Context, collection, key string, extra *engine.Counters) (engine.BatchIterator, error) {
-	rows, err := s.GetCounted(ctx, collection, key, extra)
-	if err != nil {
-		return nil, err
-	}
+	tally.AddTuples(len(rows))
 	return s.fault.WrapBatch(engine.NewSliceBatchIterator(rows)), nil
 }
 
@@ -273,10 +242,10 @@ func (s *Store) Len(collection string) (int, error) {
 	return len(c), nil
 }
 
-// Dump enumerates every tuple of a collection in key order regardless of
-// the scan policy — the administrative read used by maintenance bootstrap
-// and verification. Query plans never call it: the store's contract for
-// planning remains key-only access.
+// Dump enumerates every tuple of a collection in key order — the
+// administrative read used by maintenance bootstrap, statistics and
+// verification; it is neither counted nor fault-injected. Query plans
+// never call it: the store's contract for planning is key-only access.
 func (s *Store) Dump(collection string) ([]value.Tuple, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -284,12 +253,6 @@ func (s *Store) Dump(collection string) ([]value.Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.dumpLocked(collection, c)
-}
-
-// dumpLocked decodes every payload of a collection in key order. Callers
-// hold at least the read lock.
-func (s *Store) dumpLocked(collection string, c map[string][][]byte) ([]value.Tuple, error) {
 	keys := make([]string, 0, len(c))
 	for k := range c {
 		keys = append(keys, k)
@@ -307,33 +270,4 @@ func (s *Store) dumpLocked(collection string, c map[string][][]byte) ([]value.Tu
 		}
 	}
 	return rows, nil
-}
-
-// ErrScanDisabled is returned by Scan unless AllowScan(true) was called.
-var ErrScanDisabled = fmt.Errorf("kvstore: full scans are disabled (key-value access pattern)")
-
-// Scan enumerates every tuple of a collection in key order. It fails unless
-// administrative scans were enabled: the store's contract is key-only
-// access, and the rewriting layer must never plan a scan against it.
-func (s *Store) Scan(collection string) (engine.Iterator, error) {
-	if !s.allowScan {
-		return nil, ErrScanDisabled
-	}
-	s.counters.AddRequest()
-	if err := s.enter(context.Background()); err != nil {
-		return nil, err
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	c, err := s.coll(collection)
-	if err != nil {
-		return nil, err
-	}
-	s.counters.AddScan()
-	rows, err := s.dumpLocked(collection, c)
-	if err != nil {
-		return nil, err
-	}
-	s.counters.AddTuples(len(rows))
-	return engine.NewSliceIterator(rows), nil
 }

@@ -1,7 +1,7 @@
 package kvstore
 
 import (
-	"errors"
+	"context"
 	"testing"
 
 	"repro/internal/engines/engine"
@@ -17,16 +17,27 @@ func newStore(t *testing.T) *Store {
 	return s
 }
 
+// get drains one un-attributed GetBatchCounted request.
+func get(t *testing.T, s *Store, collection, key string) []value.Tuple {
+	t.Helper()
+	it, err := s.GetBatchCounted(context.Background(), collection, key, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := engine.DrainBatches(it)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
 func TestPutGet(t *testing.T) {
 	s := newStore(t)
 	want := value.TupleOf("u1", "theme", "dark")
 	if err := s.Put("prefs", "u1", want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Get("prefs", "u1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := get(t, s, "prefs", "u1")
 	if len(got) != 1 || !value.Equal(got[0], want) {
 		t.Errorf("Get = %v", got)
 	}
@@ -34,10 +45,7 @@ func TestPutGet(t *testing.T) {
 
 func TestGetMissingKey(t *testing.T) {
 	s := newStore(t)
-	got, err := s.Get("prefs", "ghost")
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := get(t, s, "prefs", "ghost")
 	if len(got) != 0 {
 		t.Errorf("missing key returned %v", got)
 	}
@@ -51,10 +59,7 @@ func TestAppendSemantics(t *testing.T) {
 	if err := s.Append("prefs", "u1", value.TupleOf("u1", "lang", "fr")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Get("prefs", "u1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := get(t, s, "prefs", "u1")
 	if len(got) != 2 {
 		t.Errorf("append kept %d tuples, want 2", len(got))
 	}
@@ -62,7 +67,7 @@ func TestAppendSemantics(t *testing.T) {
 	if err := s.Put("prefs", "u1", value.TupleOf("u1", "theme", "light")); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = s.Get("prefs", "u1")
+	got = get(t, s, "prefs", "u1")
 	if len(got) != 1 {
 		t.Errorf("put kept %d tuples, want 1", len(got))
 	}
@@ -76,7 +81,7 @@ func TestDelete(t *testing.T) {
 	if err := s.Delete("prefs", "u1"); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := s.Get("prefs", "u1")
+	got := get(t, s, "prefs", "u1")
 	if len(got) != 0 {
 		t.Error("delete did not remove key")
 	}
@@ -94,7 +99,7 @@ func TestCollectionErrors(t *testing.T) {
 	if err := s.Put("missing", "k", value.TupleOf(1)); err == nil {
 		t.Error("put into missing collection accepted")
 	}
-	if _, err := s.Get("missing", "k"); err == nil {
+	if _, err := s.GetBatchCounted(context.Background(), "missing", "k", nil); err == nil {
 		t.Error("get from missing collection accepted")
 	}
 	if err := s.DropCollection("missing"); err == nil {
@@ -108,54 +113,12 @@ func TestCollectionErrors(t *testing.T) {
 	}
 }
 
-func TestScanAccessRestriction(t *testing.T) {
-	s := newStore(t)
-	if err := s.Put("prefs", "u1", value.TupleOf(1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Scan("prefs"); !errors.Is(err, ErrScanDisabled) {
-		t.Errorf("scan without AllowScan: err = %v, want ErrScanDisabled", err)
-	}
-	s.AllowScan(true)
-	it, err := s.Scan("prefs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _ := engine.Drain(it)
-	if len(rows) != 1 {
-		t.Errorf("scan = %v", rows)
-	}
-}
-
-func TestScanKeyOrderDeterministic(t *testing.T) {
-	s := newStore(t)
-	s.AllowScan(true)
-	for _, k := range []string{"b", "a", "c"} {
-		if err := s.Put("prefs", k, value.TupleOf(k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	it, err := s.Scan("prefs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _ := engine.Drain(it)
-	want := []string{"a", "b", "c"}
-	for i, w := range want {
-		if !value.Equal(rows[i][0], value.Str(w)) {
-			t.Errorf("row %d = %v, want %q", i, rows[i], w)
-		}
-	}
-}
-
 func TestCountersTrackLookups(t *testing.T) {
 	s := newStore(t)
 	if err := s.Put("prefs", "u1", value.TupleOf(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Get("prefs", "u1"); err != nil {
-		t.Fatal(err)
-	}
+	get(t, s, "prefs", "u1")
 	snap := s.Counters().Snapshot()
 	if snap.Lookups != 1 || snap.Requests != 1 || snap.Tuples != 1 {
 		t.Errorf("counters = %+v", snap)
@@ -182,10 +145,7 @@ func TestRoundTripComplexTuple(t *testing.T) {
 	if err := s.Put("prefs", "u1", tup); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Get("prefs", "u1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := get(t, s, "prefs", "u1")
 	if !value.Equal(got[0], tup) {
 		t.Errorf("round trip = %v", got[0])
 	}
@@ -207,10 +167,7 @@ func TestDeleteTuple(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("removed %d copies, want 2", n)
 	}
-	got, err := s.Get("prefs", "u1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := get(t, s, "prefs", "u1")
 	if len(got) != 1 || got[0].Key() != row2.Key() {
 		t.Fatalf("surviving tuples = %v", got)
 	}
@@ -227,19 +184,27 @@ func TestDeleteTuple(t *testing.T) {
 	}
 }
 
-func TestDump(t *testing.T) {
+func TestDumpKeyOrderDeterministic(t *testing.T) {
 	s := newStore(t)
-	_ = s.Append("prefs", "b", value.TupleOf("b", "k", "v"))
-	_ = s.Append("prefs", "a", value.TupleOf("a", "k", "v"))
+	for _, k := range []string{"b", "a", "c"} {
+		if err := s.Append("prefs", k, value.TupleOf(k, "k", "v")); err != nil {
+			t.Fatal(err)
+		}
+	}
 	rows, err := s.Dump("prefs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 || rows[0][0].(value.Str) != "a" {
-		t.Fatalf("dump = %v (want key order, no scan policy)", rows)
+	if len(rows) != 3 {
+		t.Fatalf("dump = %v", rows)
 	}
-	// Dump works even though full scans are disabled for query plans.
-	if _, err := s.Scan("prefs"); !errors.Is(err, ErrScanDisabled) {
-		t.Fatalf("scan policy changed: %v", err)
+	for i, w := range []string{"a", "b", "c"} {
+		if !value.Equal(rows[i][0], value.Str(w)) {
+			t.Errorf("row %d = %v, want %q", i, rows[i], w)
+		}
+	}
+	// The administrative read is not a request: nothing is counted.
+	if snap := s.Counters().Snapshot(); snap != (engine.CounterSnapshot{}) {
+		t.Errorf("Dump counted %+v", snap)
 	}
 }

@@ -386,90 +386,10 @@ func (s *Store) HasIndex(table, column string) bool {
 	return ok
 }
 
-// Select evaluates filters+projection. If an index covers a filter, the
-// lookup is served from the index; otherwise every partition is scanned by
-// its own worker goroutine and results are merged.
-func (s *Store) Select(table string, filters []engine.EqFilter, project []int) (engine.Iterator, error) {
-	return s.SelectCounted(context.Background(), table, filters, project, nil)
-}
-
-// SelectCounted is Select with the operations additionally attributed to a
-// per-execution counter cell (nil = store-global counting only) and the
-// request bound to a context (dispatch latency and injected stalls
-// respect it).
-func (s *Store) SelectCounted(ctx context.Context, table string, filters []engine.EqFilter, project []int, extra *engine.Counters) (engine.Iterator, error) {
-	t, err := s.Table(table)
-	if err != nil {
-		return nil, err
-	}
-	tally := engine.NewTally(&s.counters, extra)
-	tally.AddRequest()
-	if err := s.enter(ctx); err != nil {
-		return nil, err
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-
-	// Indexed path.
-	for _, f := range filters {
-		ix, ok := t.indexes[f.Col]
-		if !ok {
-			continue
-		}
-		tally.AddLookup()
-		refs := ix[f.Val.Key()]
-		rows := make([]value.Tuple, 0, len(refs))
-		for _, r := range refs {
-			row := t.parts[r.part][r.off]
-			if engine.MatchAll(row, filters) {
-				rows = append(rows, projectRow(row, project))
-			}
-		}
-		tally.AddTuples(len(rows))
-		return engine.NewSliceIterator(rows), nil
-	}
-
-	// Parallel scan path: one worker per partition.
-	tally.AddScan()
-	out := make(chan value.Tuple, 256)
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	for p := 0; p < len(t.parts); p++ {
-		wg.Add(1)
-		part := t.parts[p]
-		go func() {
-			defer wg.Done()
-			for _, row := range part {
-				if !engine.MatchAll(row, filters) {
-					continue
-				}
-				select {
-				case out <- projectRow(row, project):
-					tally.AddTuples(1)
-				case <-done:
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
-	return engine.NewChanIterator(out, nil, done), nil
-}
-
-// SelectBatch is the native batch scan: filters+projection evaluated with
-// one worker goroutine per partition, each shipping whole row slabs over
-// the merge channel instead of one tuple per send.
-func (s *Store) SelectBatch(table string, filters []engine.EqFilter, project []int) (engine.BatchIterator, error) {
-	return s.SelectBatchCounted(context.Background(), table, filters, project, nil)
-}
-
-// SelectBatchCounted is SelectBatch with the operations additionally
-// attributed to a per-execution counter cell (nil = store-global counting
-// only) and the request bound to a context. Tuple counts are tallied once
-// per shipped slab.
+// SelectBatchCounted evaluates filters+projection. If an index covers a
+// filter, the lookup is served from the index; otherwise every partition
+// is scanned by its own worker goroutine, each shipping whole row slabs
+// over the merge channel. Tuple counts are tallied once per shipped slab.
 func (s *Store) SelectBatchCounted(ctx context.Context, table string, filters []engine.EqFilter, project []int, extra *engine.Counters) (engine.BatchIterator, error) {
 	t, err := s.Table(table)
 	if err != nil {
@@ -590,21 +510,6 @@ func (it *slabChanBatchIterator) Close() {
 	}
 }
 
-// QueryBatch evaluates a delegated conjunctive query on the vectorized
-// protocol.
-func (s *Store) QueryBatch(q engine.DQuery) (engine.BatchIterator, error) {
-	return s.QueryBatchCounted(context.Background(), q, nil)
-}
-
-// QueryBatchCounted is QueryBatch with per-execution counter attribution.
-func (s *Store) QueryBatchCounted(ctx context.Context, q engine.DQuery, extra *engine.Counters) (engine.BatchIterator, error) {
-	it, err := s.QueryCounted(ctx, q, extra)
-	if err != nil {
-		return nil, err
-	}
-	return s.fault.WrapBatch(engine.ToBatch(it)), nil
-}
-
 func projectRow(row value.Tuple, project []int) value.Tuple {
 	if project == nil {
 		return row
@@ -620,27 +525,27 @@ func projectRow(row value.Tuple, project []int) value.Tuple {
 	return out
 }
 
-// Query evaluates a delegated conjunctive query natively (the parallel
-// store, like Spark, accepts whole subqueries including joins).
-func (s *Store) Query(q engine.DQuery) (engine.Iterator, error) {
-	return s.QueryCounted(context.Background(), q, nil)
-}
-
-// QueryCounted is Query with the operations additionally attributed to a
-// per-execution counter cell (nil = store-global counting only) and the
-// request bound to a context.
-func (s *Store) QueryCounted(ctx context.Context, q engine.DQuery, extra *engine.Counters) (engine.Iterator, error) {
+// QueryBatchCounted evaluates a delegated conjunctive query natively (the
+// parallel store, like Spark, accepts whole subqueries including joins).
+// One request is counted however many tables participate.
+func (s *Store) QueryBatchCounted(ctx context.Context, q engine.DQuery, extra *engine.Counters) (engine.BatchIterator, error) {
 	tally := engine.NewTally(&s.counters, extra)
 	tally.AddRequest()
 	if err := s.enter(ctx); err != nil {
 		return nil, err
 	}
-	return engine.EvalDelegate(q, func(collection string, filters []engine.EqFilter) (engine.Iterator, error) {
+	it, err := engine.EvalDelegate(q, func(collection string, filters []engine.EqFilter) ([]value.Tuple, error) {
 		return s.selectNoRequest(collection, filters, tally)
 	})
+	if err != nil {
+		return nil, err
+	}
+	return s.fault.WrapBatch(it), nil
 }
 
-func (s *Store) selectNoRequest(table string, filters []engine.EqFilter, tally engine.Tally) (engine.Iterator, error) {
+// selectNoRequest materializes one table access within a delegated query
+// (not a separate round-trip, so no request is counted).
+func (s *Store) selectNoRequest(table string, filters []engine.EqFilter, tally engine.Tally) ([]value.Tuple, error) {
 	t, err := s.Table(table)
 	if err != nil {
 		return nil, err
@@ -661,7 +566,7 @@ func (s *Store) selectNoRequest(table string, filters []engine.EqFilter, tally e
 				rows = append(rows, row)
 			}
 		}
-		return engine.NewSliceIterator(rows), nil
+		return rows, nil
 	}
 	tally.AddScan()
 	var rows []value.Tuple
@@ -672,7 +577,7 @@ func (s *Store) selectNoRequest(table string, filters []engine.EqFilter, tally e
 			}
 		}
 	}
-	return engine.NewSliceIterator(rows), nil
+	return rows, nil
 }
 
 // Aggregate runs a parallel grouped aggregation over a table: rows passing
@@ -680,7 +585,7 @@ func (s *Store) selectNoRequest(table string, filters []engine.EqFilter, tally e
 // the given function per group ("count", "sum", "min", "max"). Each
 // partition pre-aggregates locally (combiner), then partials merge — the
 // classic map/combine/reduce shape of the BSP systems the paper cites.
-func (s *Store) Aggregate(table string, filters []engine.EqFilter, groupBy []int, fn string, aggCol int) (engine.Iterator, error) {
+func (s *Store) Aggregate(ctx context.Context, table string, filters []engine.EqFilter, groupBy []int, fn string, aggCol int, extra *engine.Counters) (engine.BatchIterator, error) {
 	t, err := s.Table(table)
 	if err != nil {
 		return nil, err
@@ -688,11 +593,12 @@ func (s *Store) Aggregate(table string, filters []engine.EqFilter, groupBy []int
 	if fn != "count" && fn != "sum" && fn != "min" && fn != "max" {
 		return nil, fmt.Errorf("parstore %s: unsupported aggregate %q", s.name, fn)
 	}
-	s.counters.AddRequest()
-	if err := s.enter(context.Background()); err != nil {
+	tally := engine.NewTally(&s.counters, extra)
+	tally.AddRequest()
+	if err := s.enter(ctx); err != nil {
 		return nil, err
 	}
-	s.counters.AddScan()
+	tally.AddScan()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 
@@ -782,8 +688,8 @@ func (s *Store) Aggregate(table string, filters []engine.EqFilter, groupBy []int
 		}
 		rows = append(rows, append(m.keyRow.Clone(), av))
 	}
-	s.counters.AddTuples(len(rows))
-	return engine.NewSliceIterator(rows), nil
+	tally.AddTuples(len(rows))
+	return s.fault.WrapBatch(engine.NewSliceBatchIterator(rows)), nil
 }
 
 func orNull(v value.Value) value.Value {

@@ -1,6 +1,7 @@
 package parstore
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -26,6 +27,26 @@ func newVisits(t *testing.T, partitions int) *Store {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// drain exhausts a read's stream, failing the test on either error.
+func drain(t *testing.T, it engine.BatchIterator, err error) []value.Tuple {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := engine.DrainBatches(it)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// selectRows drains one un-attributed SelectBatchCounted request.
+func selectRows(t *testing.T, s *Store, table string, filters []engine.EqFilter, project []int) []value.Tuple {
+	t.Helper()
+	it, err := s.SelectBatchCounted(context.Background(), table, filters, project, nil)
+	return drain(t, it, err)
 }
 
 func TestPartitioning(t *testing.T) {
@@ -58,11 +79,7 @@ func TestPartitioning(t *testing.T) {
 
 func TestParallelScanSelect(t *testing.T) {
 	s := newVisits(t, 4)
-	it, err := s.Select("visits", []engine.EqFilter{{Col: 2, Val: value.Str("p1")}}, []int{0, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _ := engine.Drain(it)
+	rows := selectRows(t, s, "visits", []engine.EqFilter{{Col: 2, Val: value.Str("p1")}}, []int{0, 3})
 	if len(rows) != 3 {
 		t.Fatalf("p1 visits = %v", rows)
 	}
@@ -82,11 +99,7 @@ func TestSelectViaIndex(t *testing.T) {
 		t.Error("HasIndex false")
 	}
 	before := s.Counters().Snapshot()
-	it, err := s.Select("visits", []engine.EqFilter{{Col: 0, Val: value.Str("u1")}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _ := engine.Drain(it)
+	rows := selectRows(t, s, "visits", []engine.EqFilter{{Col: 0, Val: value.Str("u1")}}, nil)
 	if len(rows) != 3 {
 		t.Errorf("u1 rows = %v", rows)
 	}
@@ -104,31 +117,10 @@ func TestIndexMaintainedOnInsert(t *testing.T) {
 	if err := s.Insert("visits", value.TupleOf("u9", "/x", "p9", 1)); err != nil {
 		t.Fatal(err)
 	}
-	it, _ := s.Select("visits", []engine.EqFilter{{Col: 2, Val: value.Str("p9")}}, nil)
-	rows, _ := engine.Drain(it)
+	rows := selectRows(t, s, "visits", []engine.EqFilter{{Col: 2, Val: value.Str("p9")}}, nil)
 	if len(rows) != 1 {
 		t.Errorf("index missed insert: %v", rows)
 	}
-}
-
-func TestEarlyCloseCancelsWorkers(t *testing.T) {
-	s := New("spark", 4)
-	if _, err := s.CreateTable("big", "k", "k", "v"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10_000; i++ {
-		if err := s.Insert("big", value.TupleOf(i, i*2)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	it, err := s.Select("big", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := it.Next(); !ok {
-		t.Fatal("no first tuple")
-	}
-	it.Close() // must not deadlock or panic
 }
 
 func TestDelegatedJoin(t *testing.T) {
@@ -150,11 +142,8 @@ func TestDelegatedJoin(t *testing.T) {
 		},
 		Out: []string{"u", "p", "d"},
 	}
-	it, err := s.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _ := engine.Drain(it)
+	it, err := s.QueryBatchCounted(context.Background(), q, nil)
+	rows := drain(t, it, err)
 	// u1 bought p1 and visited p1 twice (dur 12 and 8).
 	if len(rows) != 2 {
 		t.Fatalf("join rows = %v", rows)
@@ -168,11 +157,9 @@ func TestDelegatedJoin(t *testing.T) {
 
 func TestAggregateCountAndSum(t *testing.T) {
 	s := newVisits(t, 4)
-	it, err := s.Aggregate("visits", nil, []int{0}, "count", -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _ := engine.Drain(it)
+	ctx := context.Background()
+	it, err := s.Aggregate(ctx, "visits", nil, []int{0}, "count", -1, nil)
+	rows := drain(t, it, err)
 	counts := map[string]int64{}
 	for _, r := range rows {
 		counts[string(r[0].(value.Str))] = int64(r[1].(value.Int))
@@ -181,11 +168,8 @@ func TestAggregateCountAndSum(t *testing.T) {
 		t.Errorf("counts = %v", counts)
 	}
 
-	it, err = s.Aggregate("visits", nil, []int{0}, "sum", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _ = engine.Drain(it)
+	it, err = s.Aggregate(ctx, "visits", nil, []int{0}, "sum", 3, nil)
+	rows = drain(t, it, err)
 	sums := map[string]float64{}
 	for _, r := range rows {
 		sums[string(r[0].(value.Str))] = float64(r[1].(value.Float))
@@ -197,25 +181,20 @@ func TestAggregateCountAndSum(t *testing.T) {
 
 func TestAggregateMinMaxAndFilters(t *testing.T) {
 	s := newVisits(t, 2)
-	it, err := s.Aggregate("visits",
-		[]engine.EqFilter{{Col: 0, Val: value.Str("u1")}}, []int{0}, "max", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _ := engine.Drain(it)
+	ctx := context.Background()
+	it, err := s.Aggregate(ctx, "visits",
+		[]engine.EqFilter{{Col: 0, Val: value.Str("u1")}}, []int{0}, "max", 3, nil)
+	rows := drain(t, it, err)
 	if len(rows) != 1 || !value.Equal(rows[0][1], value.Int(30)) {
 		t.Errorf("max = %v", rows)
 	}
-	it, err = s.Aggregate("visits",
-		[]engine.EqFilter{{Col: 0, Val: value.Str("u1")}}, []int{0}, "min", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _ = engine.Drain(it)
+	it, err = s.Aggregate(ctx, "visits",
+		[]engine.EqFilter{{Col: 0, Val: value.Str("u1")}}, []int{0}, "min", 3, nil)
+	rows = drain(t, it, err)
 	if len(rows) != 1 || !value.Equal(rows[0][1], value.Int(8)) {
 		t.Errorf("min = %v", rows)
 	}
-	if _, err := s.Aggregate("visits", nil, nil, "median", 3); err == nil {
+	if _, err := s.Aggregate(ctx, "visits", nil, nil, "median", 3, nil); err == nil {
 		t.Error("unknown aggregate accepted")
 	}
 }
@@ -234,11 +213,7 @@ func TestNestedColumnRoundTrip(t *testing.T) {
 	if err := s.CreateIndex("ph", "uid"); err != nil {
 		t.Fatal(err)
 	}
-	it, err := s.Select("ph", []engine.EqFilter{{Col: 0, Val: value.Str("u1")}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _ := engine.Drain(it)
+	rows := selectRows(t, s, "ph", []engine.EqFilter{{Col: 0, Val: value.Str("u1")}}, nil)
 	if len(rows) != 1 || !value.Equal(rows[0][2], nested) {
 		t.Errorf("nested column = %v", rows)
 	}
@@ -300,14 +275,7 @@ func TestDeleteTupleLevel(t *testing.T) {
 		t.Fatalf("absent delete: n=%d err=%v", n, err)
 	}
 	// Index lookups and scans agree on the surviving rows.
-	it, err := s.Select("visits", []engine.EqFilter{{Col: 2, Val: value.Str("p1")}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byIdx, err := engine.Drain(it)
-	if err != nil {
-		t.Fatal(err)
-	}
+	byIdx := selectRows(t, s, "visits", []engine.EqFilter{{Col: 2, Val: value.Str("p1")}}, nil)
 	if len(byIdx) != 2 {
 		t.Fatalf("post-delete index lookup = %v", byIdx)
 	}
@@ -331,7 +299,7 @@ func TestMutationConcurrentWithParallelScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	it, err := s.SelectBatch("visits", nil, nil)
+	it, err := s.SelectBatchCounted(context.Background(), "visits", nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +325,7 @@ func TestMutationConcurrentWithParallelScan(t *testing.T) {
 	<-done
 	// InsertMany interleaved with a second scan (the audit case): every
 	// batch the cursor yields is a consistent snapshot slice.
-	it2, err := s.SelectBatch("visits", nil, nil)
+	it2, err := s.SelectBatchCounted(context.Background(), "visits", nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

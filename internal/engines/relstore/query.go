@@ -7,75 +7,35 @@ import (
 	"repro/internal/value"
 )
 
-// Query evaluates a delegated conjunctive query (selections, projections,
-// equi-joins) entirely inside the store, as a relational DMS would. One
-// request is counted regardless of how many tables participate.
-func (s *Store) Query(q engine.DQuery) (engine.Iterator, error) {
-	return s.QueryCounted(context.Background(), q, nil)
-}
-
-// QueryCounted is Query with the operations additionally attributed to a
-// per-execution counter cell (nil = store-global counting only) and the
-// request bound to a context.
-func (s *Store) QueryCounted(ctx context.Context, q engine.DQuery, extra *engine.Counters) (engine.Iterator, error) {
+// QueryBatchCounted evaluates a delegated conjunctive query (selections,
+// projections, equi-joins) entirely inside the store, as a relational DMS
+// would. One request is counted regardless of how many tables participate
+// (the accesses within one delegated query are not separate round-trips).
+func (s *Store) QueryBatchCounted(ctx context.Context, q engine.DQuery, extra *engine.Counters) (engine.BatchIterator, error) {
 	tally := engine.NewTally(&s.counters, extra)
 	tally.AddRequest()
 	if err := s.enter(ctx); err != nil {
 		return nil, err
 	}
-	return engine.EvalDelegate(q, func(collection string, filters []engine.EqFilter) (engine.Iterator, error) {
-		return s.selectNoRequest(collection, filters, tally)
-	})
-}
-
-// QueryBatch evaluates a delegated conjunctive query on the vectorized
-// protocol.
-func (s *Store) QueryBatch(q engine.DQuery) (engine.BatchIterator, error) {
-	return s.QueryBatchCounted(context.Background(), q, nil)
-}
-
-// QueryBatchCounted is QueryBatch with per-execution counter attribution.
-func (s *Store) QueryBatchCounted(ctx context.Context, q engine.DQuery, extra *engine.Counters) (engine.BatchIterator, error) {
-	it, err := s.QueryCounted(ctx, q, extra)
-	if err != nil {
-		return nil, err
-	}
-	return s.fault.WrapBatch(engine.ToBatch(it)), nil
-}
-
-// selectNoRequest is Select without the per-request accounting (internal
-// accesses within one delegated query are not separate round-trips).
-func (s *Store) selectNoRequest(table string, filters []engine.EqFilter, tally engine.Tally) (engine.Iterator, error) {
-	t, err := s.Table(table)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var base engine.Iterator
-	used := -1
-	for _, f := range filters {
-		if ix, ok := t.indexes[f.Col]; ok {
-			rowIdx := ix[f.Val.Key()]
-			out := make([]value.Tuple, len(rowIdx))
-			for i, ri := range rowIdx {
-				out[i] = t.rows[ri]
+	it, err := engine.EvalDelegate(q, func(collection string, filters []engine.EqFilter) ([]value.Tuple, error) {
+		t, err := s.Table(collection)
+		if err != nil {
+			return nil, err
+		}
+		base, rest := s.access(t, filters, tally)
+		if len(rest) == 0 {
+			return base, nil
+		}
+		var rows []value.Tuple
+		for _, row := range base {
+			if engine.MatchAll(row, rest) {
+				rows = append(rows, row)
 			}
-			base = engine.NewSliceIterator(out)
-			used = f.Col
-			tally.AddLookup()
-			break
 		}
+		return rows, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if base == nil {
-		base = engine.NewSliceIterator(t.rows)
-		tally.AddScan()
-	}
-	rest := make([]engine.EqFilter, 0, len(filters))
-	for _, f := range filters {
-		if f.Col != used {
-			rest = append(rest, f)
-		}
-	}
-	return &engine.FilterIterator{In: base, Filters: rest}, nil
+	return s.fault.WrapBatch(it), nil
 }

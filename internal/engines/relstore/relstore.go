@@ -334,92 +334,37 @@ func (s *Store) HasIndex(table, column string) bool {
 	return ok
 }
 
-// Scan returns an iterator over all rows of a table.
-func (s *Store) Scan(table string) (engine.Iterator, error) {
-	t, err := s.Table(table)
-	if err != nil {
-		return nil, err
-	}
-	s.counters.AddRequest()
-	if err := s.enter(context.Background()); err != nil {
-		return nil, err
-	}
-	s.counters.AddScan()
-	// Snapshot the slice header under the lock before counting it: a
-	// concurrent Insert rewrites t.rows, and an unlocked len() read races.
-	s.mu.RLock()
-	rows := t.rows
-	s.mu.RUnlock()
-	s.counters.AddTuples(len(rows))
-	return engine.NewSliceIterator(rows), nil
-}
-
-// Select evaluates equality filters with projection, using an index when one
-// covers some filter column, otherwise a scan.
-func (s *Store) Select(table string, filters []engine.EqFilter, project []int) (engine.Iterator, error) {
-	return s.SelectCounted(context.Background(), table, filters, project, nil)
-}
-
-// SelectCounted is Select with the operations additionally attributed to a
-// per-execution counter cell (nil = store-global counting only) and the
-// request bound to a context (latency waits and injected stalls respect
-// it).
-func (s *Store) SelectCounted(ctx context.Context, table string, filters []engine.EqFilter, project []int, extra *engine.Counters) (engine.Iterator, error) {
-	t, err := s.Table(table)
-	if err != nil {
-		return nil, err
-	}
-	tally := engine.NewTally(&s.counters, extra)
-	tally.AddRequest()
-	if err := s.enter(ctx); err != nil {
-		return nil, err
-	}
+// access picks the access path for equality filters on one table: the
+// first filter whose column is indexed serves the base rows from that
+// index (one lookup); without one the whole table is the base (one scan).
+// It returns the base rows, which callers must not mutate, and the
+// residual filters: every filter except the one the index served, skipped
+// by position so that a second filter on the indexed column still applies.
+func (s *Store) access(t *Table, filters []engine.EqFilter, tally engine.Tally) (base []value.Tuple, rest []engine.EqFilter) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-
-	var base engine.Iterator
-	used := -1
-	for _, f := range filters {
-		if ix, ok := t.indexes[f.Col]; ok {
-			rowIdx := ix[f.Val.Key()]
-			rows := make([]value.Tuple, len(rowIdx))
-			for i, ri := range rowIdx {
-				rows[i] = t.rows[ri]
-			}
-			base = engine.NewSliceIterator(rows)
-			used = f.Col
-			tally.AddLookup()
-			break
+	for i, f := range filters {
+		ix, ok := t.indexes[f.Col]
+		if !ok {
+			continue
 		}
-	}
-	if base == nil {
-		base = engine.NewSliceIterator(t.rows)
-		tally.AddScan()
-	}
-	rest := make([]engine.EqFilter, 0, len(filters))
-	for _, f := range filters {
-		if f.Col != used {
-			rest = append(rest, f)
+		tally.AddLookup()
+		rowIdx := ix[f.Val.Key()]
+		base = make([]value.Tuple, len(rowIdx))
+		for j, ri := range rowIdx {
+			base[j] = t.rows[ri]
 		}
+		rest = make([]engine.EqFilter, 0, len(filters)-1)
+		rest = append(rest, filters[:i]...)
+		return base, append(rest, filters[i+1:]...)
 	}
-	var it engine.Iterator = &engine.FilterIterator{In: base, Filters: rest}
-	if project != nil {
-		it = &engine.ProjectIterator{In: it, Cols: project}
-	}
-	return &engine.CountingIter{In: it, T: tally}, nil
+	tally.AddScan()
+	return t.rows, filters
 }
 
-// SelectBatch is the native batch scan: Select evaluated on the
-// vectorized protocol, delivering value.Batch slabs instead of one tuple
-// per call.
-func (s *Store) SelectBatch(table string, filters []engine.EqFilter, project []int) (engine.BatchIterator, error) {
-	return s.SelectBatchCounted(context.Background(), table, filters, project, nil)
-}
-
-// SelectBatchCounted is SelectBatch with the operations additionally
-// attributed to a per-execution counter cell (nil = store-global counting
-// only) and the request bound to a context. Tuple counts are tallied once
-// per batch.
+// SelectBatchCounted evaluates equality filters with projection, using an
+// index when one covers some filter column, otherwise a scan. Tuple counts
+// are tallied once per batch.
 func (s *Store) SelectBatchCounted(ctx context.Context, table string, filters []engine.EqFilter, project []int, extra *engine.Counters) (engine.BatchIterator, error) {
 	t, err := s.Table(table)
 	if err != nil {
@@ -430,35 +375,8 @@ func (s *Store) SelectBatchCounted(ctx context.Context, table string, filters []
 	if err := s.enter(ctx); err != nil {
 		return nil, err
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-
-	var base engine.BatchIterator
-	used := -1
-	for _, f := range filters {
-		if ix, ok := t.indexes[f.Col]; ok {
-			rowIdx := ix[f.Val.Key()]
-			rows := make([]value.Tuple, len(rowIdx))
-			for i, ri := range rowIdx {
-				rows[i] = t.rows[ri]
-			}
-			base = engine.NewSliceBatchIterator(rows)
-			used = f.Col
-			tally.AddLookup()
-			break
-		}
-	}
-	if base == nil {
-		base = engine.NewSliceBatchIterator(t.rows)
-		tally.AddScan()
-	}
-	rest := make([]engine.EqFilter, 0, len(filters))
-	for _, f := range filters {
-		if f.Col != used {
-			rest = append(rest, f)
-		}
-	}
-	var it engine.BatchIterator = &engine.BatchFilter{In: base, Filters: rest}
+	base, rest := s.access(t, filters, tally)
+	var it engine.BatchIterator = &engine.BatchFilter{In: engine.NewSliceBatchIterator(base), Filters: rest}
 	if project != nil {
 		it = &engine.BatchProject{In: it, Cols: project}
 	}

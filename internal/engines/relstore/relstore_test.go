@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -23,6 +24,33 @@ func newUsers(t *testing.T) *Store {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// drain exhausts a read's stream, failing the test on either error.
+func drain(t *testing.T, it engine.BatchIterator, err error) []value.Tuple {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := engine.DrainBatches(it)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// selectRows drains one un-attributed SelectBatchCounted request.
+func selectRows(t *testing.T, s *Store, table string, filters []engine.EqFilter, project []int) []value.Tuple {
+	t.Helper()
+	it, err := s.SelectBatchCounted(context.Background(), table, filters, project, nil)
+	return drain(t, it, err)
+}
+
+// queryRows drains one un-attributed delegated QueryBatchCounted request.
+func queryRows(t *testing.T, s *Store, q engine.DQuery) []value.Tuple {
+	t.Helper()
+	it, err := s.QueryBatchCounted(context.Background(), q, nil)
+	return drain(t, it, err)
 }
 
 func TestCreateTableErrors(t *testing.T) {
@@ -56,11 +84,7 @@ func TestInsertSchemaCheck(t *testing.T) {
 
 func TestScan(t *testing.T) {
 	s := newUsers(t)
-	it, err := s.Scan("users")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _ := engine.Drain(it)
+	rows := selectRows(t, s, "users", nil, nil)
 	if len(rows) != 3 {
 		t.Errorf("scan = %d rows", len(rows))
 	}
@@ -74,11 +98,7 @@ func TestSelectWithAndWithoutIndex(t *testing.T) {
 	s := newUsers(t)
 	filter := []engine.EqFilter{{Col: 2, Val: value.Str("paris")}}
 
-	it, err := s.Select("users", filter, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	noIdx, _ := engine.Drain(it)
+	noIdx := selectRows(t, s, "users", filter, nil)
 	if len(noIdx) != 2 {
 		t.Fatalf("unindexed select = %v", noIdx)
 	}
@@ -90,11 +110,7 @@ func TestSelectWithAndWithoutIndex(t *testing.T) {
 	if !s.HasIndex("users", "city") {
 		t.Error("HasIndex = false after CreateIndex")
 	}
-	it, err = s.Select("users", filter, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withIdx, _ := engine.Drain(it)
+	withIdx := selectRows(t, s, "users", filter, nil)
 	if len(withIdx) != 2 {
 		t.Fatalf("indexed select = %v", withIdx)
 	}
@@ -115,8 +131,7 @@ func TestIndexMaintainedOnInsert(t *testing.T) {
 	if err := s.Insert("users", value.TupleOf("u9", "zoe", "nice")); err != nil {
 		t.Fatal(err)
 	}
-	it, _ := s.Select("users", []engine.EqFilter{{Col: 0, Val: value.Str("u9")}}, nil)
-	rows, _ := engine.Drain(it)
+	rows := selectRows(t, s, "users", []engine.EqFilter{{Col: 0, Val: value.Str("u9")}}, nil)
 	if len(rows) != 1 || !value.Equal(rows[0][1], value.Str("zoe")) {
 		t.Errorf("index missed inserted row: %v", rows)
 	}
@@ -124,11 +139,7 @@ func TestIndexMaintainedOnInsert(t *testing.T) {
 
 func TestSelectProjection(t *testing.T) {
 	s := newUsers(t)
-	it, err := s.Select("users", nil, []int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _ := engine.Drain(it)
+	rows := selectRows(t, s, "users", nil, []int{1})
 	if len(rows) != 3 || len(rows[0]) != 1 {
 		t.Errorf("projected = %v", rows)
 	}
@@ -139,16 +150,61 @@ func TestSelectMultiFilter(t *testing.T) {
 	if err := s.CreateIndex("users", "city"); err != nil {
 		t.Fatal(err)
 	}
-	it, err := s.Select("users", []engine.EqFilter{
+	rows := selectRows(t, s, "users", []engine.EqFilter{
 		{Col: 2, Val: value.Str("paris")},
 		{Col: 1, Val: value.Str("ada")},
 	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _ := engine.Drain(it)
 	if len(rows) != 1 || !value.Equal(rows[0][0], value.Str("u1")) {
 		t.Errorf("residual filter broken: %v", rows)
+	}
+}
+
+// Two filters on one column: an index on that column serves one of them,
+// and the other must still be applied as a residual. Contradictory
+// constants select nothing, with or without the index.
+func TestSelectTwoFiltersOnIndexedColumn(t *testing.T) {
+	for _, indexed := range []bool{false, true} {
+		s := newUsers(t)
+		if indexed {
+			if err := s.CreateIndex("users", "uid"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		contradictory := []engine.EqFilter{
+			{Col: 0, Val: value.Str("u1")},
+			{Col: 0, Val: value.Str("u2")},
+		}
+		if rows := selectRows(t, s, "users", contradictory, nil); len(rows) != 0 {
+			t.Errorf("indexed=%v: uid='u1' AND uid='u2' returned %v", indexed, rows)
+		}
+		redundant := []engine.EqFilter{
+			{Col: 0, Val: value.Str("u1")},
+			{Col: 0, Val: value.Str("u1")},
+		}
+		if rows := selectRows(t, s, "users", redundant, nil); len(rows) != 1 {
+			t.Errorf("indexed=%v: uid='u1' AND uid='u1' returned %v", indexed, rows)
+		}
+		// A delegated query pushes one filter per atom position, so the
+		// nearest it gets is two atoms pinning the column to different
+		// constants; both accesses go through the same index-or-scan
+		// helper as Select and must agree with the unindexed answer.
+		q := engine.DQuery{
+			Atoms: []engine.DAtom{
+				{Collection: "users", Terms: []engine.DTerm{
+					engine.DConst(value.Str("u1")), engine.DVar("n"), engine.DVar("c")}},
+				{Collection: "users", Terms: []engine.DTerm{
+					engine.DConst(value.Str("u3")), engine.DVar("m"), engine.DVar("c")}},
+			},
+			Out: []string{"n", "m", "c"},
+		}
+		rows := queryRows(t, s, q)
+		if len(rows) != 1 || !value.Equal(rows[0], value.TupleOf("ada", "cem", "paris")) {
+			t.Errorf("indexed=%v: delegated self-join = %v", indexed, rows)
+		}
+		q.Atoms[1].Terms[0] = engine.DConst(value.Str("u2"))
+		if rows := queryRows(t, s, q); len(rows) != 0 {
+			t.Errorf("indexed=%v: delegated self-join across cities = %v", indexed, rows)
+		}
 	}
 }
 
@@ -177,11 +233,7 @@ func TestDelegatedJoinQuery(t *testing.T) {
 		Out: []string{"n", "amt"},
 	}
 	before := s.Counters().Snapshot()
-	it, err := s.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _ := engine.Drain(it)
+	rows := queryRows(t, s, q)
 	if len(rows) != 2 {
 		t.Fatalf("join rows = %v", rows)
 	}
@@ -230,8 +282,7 @@ func TestInsertIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	row[0] = value.Int(99)
-	it, _ := s.Scan("t")
-	rows, _ := engine.Drain(it)
+	rows := selectRows(t, s, "t", nil, nil)
 	if !value.Equal(rows[0][0], value.Int(1)) {
 		t.Error("store aliases caller tuple")
 	}
@@ -265,22 +316,12 @@ func TestDeleteTupleLevel(t *testing.T) {
 		t.Fatalf("absent delete: n=%d err=%v", n, err)
 	}
 	// The index must have been rebuilt against the surviving rows.
-	it, err := s.Select("users", []engine.EqFilter{{Col: 0, Val: value.Str("u2")}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := engine.Drain(it)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := selectRows(t, s, "users", []engine.EqFilter{{Col: 0, Val: value.Str("u2")}}, nil)
 	if len(got) != 1 || got[0][1].(value.Str) != "bob" {
 		t.Fatalf("post-delete index lookup = %v", got)
 	}
-	if it, _ := s.Scan("users"); it != nil {
-		all, _ := engine.Drain(it)
-		if len(all) != 1 {
-			t.Fatalf("post-delete scan = %v", all)
-		}
+	if all := selectRows(t, s, "users", nil, nil); len(all) != 1 {
+		t.Fatalf("post-delete scan = %v", all)
 	}
 	// Wrong arity is rejected.
 	if _, err := s.Delete("users", value.TupleOf("u2")); err == nil {
@@ -303,7 +344,7 @@ func TestMutationConcurrentWithOpenCursor(t *testing.T) {
 	if err := s.CreateIndex("users", "uid"); err != nil {
 		t.Fatal(err)
 	}
-	it, err := s.SelectBatch("users", nil, nil)
+	it, err := s.SelectBatchCounted(context.Background(), "users", nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,9 +357,9 @@ func TestMutationConcurrentWithOpenCursor(t *testing.T) {
 				_, _ = s.Delete("users", value.TupleOf(fmt.Sprintf("u%04d", i), "name", "city"))
 			}
 			if i%7 == 0 {
-				it2, err := s.Scan("users")
+				it2, err := s.SelectBatchCounted(context.Background(), "users", nil, nil, nil)
 				if err == nil {
-					_, _ = engine.Drain(it2)
+					_, _ = engine.DrainBatches(it2)
 				}
 			}
 		}

@@ -343,17 +343,9 @@ type FieldFilter struct {
 	Val   value.Value
 }
 
-// Search runs a query, returning one tuple per hit, projected on
-// q.Project (missing fields become NULL).
-func (s *Store) Search(collName string, q Query) (engine.Iterator, error) {
-	return s.SearchCounted(context.Background(), collName, q, nil)
-}
-
-// SearchCounted is Search with the operations additionally attributed to a
-// per-execution counter cell (nil = store-global counting only) and the
-// request bound to a context (latency waits and injected stalls respect
-// it).
-func (s *Store) SearchCounted(ctx context.Context, collName string, q Query, extra *engine.Counters) (engine.Iterator, error) {
+// SearchBatchCounted runs a query, returning one tuple per hit, projected
+// on q.Project (missing fields become NULL).
+func (s *Store) SearchBatchCounted(ctx context.Context, collName string, q Query, extra *engine.Counters) (engine.BatchIterator, error) {
 	tally := engine.NewTally(&s.counters, extra)
 	tally.AddRequest()
 	if err := s.enter(ctx); err != nil {
@@ -418,24 +410,7 @@ func (s *Store) SearchCounted(ctx context.Context, collName string, q Query, ext
 		rows = append(rows, row)
 	}
 	tally.AddTuples(len(rows))
-	return engine.NewSliceIterator(rows), nil
-}
-
-// SearchBatch is the native batch scan: Search delivered as value.Batch
-// slabs.
-func (s *Store) SearchBatch(collName string, q Query) (engine.BatchIterator, error) {
-	return s.SearchBatchCounted(context.Background(), collName, q, nil)
-}
-
-// SearchBatchCounted is SearchBatch with the operations additionally
-// attributed to a per-execution counter cell (nil = store-global counting
-// only) and the request bound to a context.
-func (s *Store) SearchBatchCounted(ctx context.Context, collName string, q Query, extra *engine.Counters) (engine.BatchIterator, error) {
-	it, err := s.SearchCounted(ctx, collName, q, extra)
-	if err != nil {
-		return nil, err
-	}
-	return s.fault.WrapBatch(engine.ToBatch(it)), nil
+	return s.fault.WrapBatch(engine.NewSliceBatchIterator(rows)), nil
 }
 
 // intersect merges two sorted posting lists.

@@ -1,6 +1,7 @@
 package textstore
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -30,6 +31,20 @@ func newCatalog(t *testing.T) *Store {
 	return s
 }
 
+// search drains one un-attributed SearchBatchCounted request on "products".
+func search(t *testing.T, s *Store, q Query) []value.Tuple {
+	t.Helper()
+	it, err := s.SearchBatchCounted(context.Background(), "products", q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := engine.DrainBatches(it)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
 func TestTokenize(t *testing.T) {
 	got := Tokenize("Noise-Cancelling, wireless! 4K")
 	want := []string{"noise", "cancelling", "wireless", "4k"}
@@ -43,11 +58,7 @@ func TestTokenize(t *testing.T) {
 
 func TestSearchSingleTerm(t *testing.T) {
 	s := newCatalog(t)
-	it, err := s.Search("products", Query{Terms: []string{"wireless"}, Project: []string{"pid"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _ := engine.Drain(it)
+	rows := search(t, s, Query{Terms: []string{"wireless"}, Project: []string{"pid"}})
 	if len(rows) != 2 {
 		t.Fatalf("wireless hits = %v", rows)
 	}
@@ -55,14 +66,10 @@ func TestSearchSingleTerm(t *testing.T) {
 
 func TestSearchTermConjunction(t *testing.T) {
 	s := newCatalog(t)
-	it, err := s.Search("products", Query{
+	rows := search(t, s, Query{
 		Terms:   []string{"wireless", "headphones"},
 		Project: []string{"pid"},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _ := engine.Drain(it)
 	if len(rows) != 1 || !value.Equal(rows[0][0], value.Str("p1")) {
 		t.Errorf("AND search = %v", rows)
 	}
@@ -70,11 +77,7 @@ func TestSearchTermConjunction(t *testing.T) {
 
 func TestSearchCaseInsensitive(t *testing.T) {
 	s := newCatalog(t)
-	it, err := s.Search("products", Query{Terms: []string{"WIRELESS"}, Project: []string{"pid"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _ := engine.Drain(it)
+	rows := search(t, s, Query{Terms: []string{"WIRELESS"}, Project: []string{"pid"}})
 	if len(rows) != 2 {
 		t.Errorf("case-insensitive search = %v", rows)
 	}
@@ -82,15 +85,11 @@ func TestSearchCaseInsensitive(t *testing.T) {
 
 func TestSearchWithFieldFilter(t *testing.T) {
 	s := newCatalog(t)
-	it, err := s.Search("products", Query{
+	rows := search(t, s, Query{
 		Terms:   []string{"wireless"},
 		Fields:  []FieldFilter{{Field: "category", Val: value.Str("audio")}},
 		Project: []string{"pid", "category"},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _ := engine.Drain(it)
 	if len(rows) != 1 || !value.Equal(rows[0][0], value.Str("p1")) {
 		t.Errorf("filtered search = %v", rows)
 	}
@@ -98,14 +97,10 @@ func TestSearchWithFieldFilter(t *testing.T) {
 
 func TestSearchFieldOnly(t *testing.T) {
 	s := newCatalog(t)
-	it, err := s.Search("products", Query{
+	rows := search(t, s, Query{
 		Fields:  []FieldFilter{{Field: "category", Val: value.Str("video")}},
 		Project: []string{"pid"},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _ := engine.Drain(it)
 	if len(rows) != 1 || !value.Equal(rows[0][0], value.Str("p3")) {
 		t.Errorf("field search = %v", rows)
 	}
@@ -114,11 +109,7 @@ func TestSearchFieldOnly(t *testing.T) {
 func TestSearchNoTermsNoFieldsScans(t *testing.T) {
 	s := newCatalog(t)
 	before := s.Counters().Snapshot()
-	it, err := s.Search("products", Query{Project: []string{"pid"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _ := engine.Drain(it)
+	rows := search(t, s, Query{Project: []string{"pid"}})
 	if len(rows) != 3 {
 		t.Errorf("scan = %v", rows)
 	}
@@ -129,11 +120,7 @@ func TestSearchNoTermsNoFieldsScans(t *testing.T) {
 
 func TestSearchMissingProjectField(t *testing.T) {
 	s := newCatalog(t)
-	it, err := s.Search("products", Query{Terms: []string{"projector"}, Project: []string{"pid", "nope"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _ := engine.Drain(it)
+	rows := search(t, s, Query{Terms: []string{"projector"}, Project: []string{"pid", "nope"}})
 	if len(rows) != 1 || rows[0][1].Kind() != value.KindNull {
 		t.Errorf("missing field projection = %v", rows)
 	}
@@ -141,11 +128,7 @@ func TestSearchMissingProjectField(t *testing.T) {
 
 func TestSearchUnknownTerm(t *testing.T) {
 	s := newCatalog(t)
-	it, err := s.Search("products", Query{Terms: []string{"zzz"}, Project: []string{"pid"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _ := engine.Drain(it)
+	rows := search(t, s, Query{Terms: []string{"zzz"}, Project: []string{"pid"}})
 	if len(rows) != 0 {
 		t.Errorf("unknown term hits = %v", rows)
 	}
@@ -156,7 +139,7 @@ func TestCollectionErrors(t *testing.T) {
 	if err := s.Index("missing", nil); err == nil {
 		t.Error("index into missing collection accepted")
 	}
-	if _, err := s.Search("missing", Query{}); err == nil {
+	if _, err := s.SearchBatchCounted(context.Background(), "missing", Query{}, nil); err == nil {
 		t.Error("search in missing collection accepted")
 	}
 	if err := s.CreateCollection("c"); err != nil {
@@ -197,15 +180,7 @@ func TestInsertAndDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	hits := func(terms ...string) int {
-		it, err := s.Search("products", Query{Terms: terms, Project: []string{"pid"}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows, err := engine.Drain(it)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(rows)
+		return len(search(t, s, Query{Terms: terms, Project: []string{"pid"}}))
 	}
 	if got := hits("wireless"); got != 3 {
 		t.Fatalf("wireless hits after insert = %d, want 3", got)
@@ -227,13 +202,9 @@ func TestInsertAndDelete(t *testing.T) {
 	if got := hits("wireless", "projector"); got != 1 {
 		t.Fatalf("multi-term hits after delete = %d, want 1", got)
 	}
-	it, err := s.Search("products", Query{
+	rows := search(t, s, Query{
 		Fields:  []FieldFilter{{Field: "pid", Val: value.Str("p3")}},
 		Project: []string{"pid", "category"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _ := engine.Drain(it)
 	if len(rows) != 1 || rows[0][1].(value.Str) != "video" {
 		t.Fatalf("field index after delete = %v", rows)
 	}
@@ -262,11 +233,7 @@ func TestDeleteManyBatched(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("removed %d, want 2", n)
 	}
-	it, err := s.Search("products", Query{Terms: []string{"headphones"}, Project: []string{"pid"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _ := engine.Drain(it)
+	rows := search(t, s, Query{Terms: []string{"headphones"}, Project: []string{"pid"}})
 	if len(rows) != 0 {
 		t.Fatalf("headphones hits after batch delete = %v", rows)
 	}

@@ -10,8 +10,8 @@
 // output columns (Schema) and opens to a vectorized batch iterator
 // (engine.BatchIterator): operators exchange value.Batch slabs of a few
 // hundred tuples per call, amortizing virtual dispatch, cancellation
-// checks and counter attribution. Row-at-a-time consumers keep working
-// through the engine.ToTuples adapter.
+// checks and counter attribution. The row-at-a-time surface is the Rows
+// cursor (Next/Tuple) at the top of a plan.
 package exec
 
 import (
@@ -146,29 +146,16 @@ func RunWith(ec *Ctx, n Node) ([]value.Tuple, error) {
 type Source struct {
 	Name string
 	Out  Schema
-	// BatchFn issues the store request on its native batch path. It
-	// receives the execution context so the access can attribute its work
-	// (ec may be nil). Preferred over OpenFn when both are set.
+	// BatchFn issues the store request. It receives the execution context
+	// so the access can attribute its work (ec may be nil).
 	BatchFn func(ec *Ctx) (engine.BatchIterator, error)
-	// OpenFn is the row-at-a-time store request, kept so tuple-protocol
-	// stores and tests can plug in without batching; the result is adapted.
-	OpenFn func(ec *Ctx) (engine.Iterator, error)
 }
 
 // Schema implements Node.
 func (s *Source) Schema() Schema { return s.Out }
 
 // Open implements Node.
-func (s *Source) Open(ec *Ctx) (engine.BatchIterator, error) {
-	if s.BatchFn != nil {
-		return s.BatchFn(ec)
-	}
-	it, err := s.OpenFn(ec)
-	if err != nil {
-		return nil, err
-	}
-	return engine.ToBatch(it), nil
-}
+func (s *Source) Open(ec *Ctx) (engine.BatchIterator, error) { return s.BatchFn(ec) }
 
 // Label implements Node.
 func (s *Source) Label() string { return s.Name }

@@ -263,7 +263,7 @@ func TestHashJoinBuildSideError(t *testing.T) {
 	right := &Source{
 		Name: "broken",
 		Out:  Schema{"x", "y"},
-		OpenFn: func(*Ctx) (engine.Iterator, error) {
+		BatchFn: func(*Ctx) (engine.BatchIterator, error) {
 			return nil, sentinel
 		},
 	}
@@ -463,8 +463,8 @@ func TestSourceNode(t *testing.T) {
 	src := &Source{
 		Name: "kv.Get(prefs)",
 		Out:  Schema{"k"},
-		OpenFn: func(*Ctx) (engine.Iterator, error) {
-			return engine.NewSliceIterator([]value.Tuple{value.TupleOf("a")}), nil
+		BatchFn: func(*Ctx) (engine.BatchIterator, error) {
+			return engine.NewSliceBatchIterator([]value.Tuple{value.TupleOf("a")}), nil
 		},
 	}
 	rows, err := Run(src)
@@ -479,9 +479,9 @@ func TestSourceNode(t *testing.T) {
 func TestSourceOpenErrorPropagates(t *testing.T) {
 	sentinel := errors.New("store down")
 	src := &Source{
-		Name:   "broken",
-		Out:    Schema{"x"},
-		OpenFn: func(*Ctx) (engine.Iterator, error) { return nil, sentinel },
+		Name:    "broken",
+		Out:     Schema{"x"},
+		BatchFn: func(*Ctx) (engine.BatchIterator, error) { return nil, sentinel },
 	}
 	// Error through a whole operator stack.
 	p, err := NewProject(&Distinct{In: &Select{In: src}}, []string{"x"})
@@ -506,7 +506,7 @@ func TestSourceOpenErrorPropagates(t *testing.T) {
 func TestUnionErrorPropagates(t *testing.T) {
 	sentinel := errors.New("boom")
 	src := &Source{Name: "b", Out: Schema{"x"},
-		OpenFn: func(*Ctx) (engine.Iterator, error) { return nil, sentinel }}
+		BatchFn: func(*Ctx) (engine.BatchIterator, error) { return nil, sentinel }}
 	u := &Union{Inputs: []Node{vals(Schema{"x"}, value.TupleOf(1)), src}}
 	if _, err := Run(u); !errors.Is(err, sentinel) {
 		t.Errorf("err = %v", err)
@@ -516,7 +516,7 @@ func TestUnionErrorPropagates(t *testing.T) {
 func TestAggregateAndNestErrorPropagates(t *testing.T) {
 	sentinel := errors.New("boom")
 	src := &Source{Name: "b", Out: Schema{"g", "v"},
-		OpenFn: func(*Ctx) (engine.Iterator, error) { return nil, sentinel }}
+		BatchFn: func(*Ctx) (engine.BatchIterator, error) { return nil, sentinel }}
 	agg, err := NewAggregate(src, []string{"g"}, AggCount, "")
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,6 @@ package lint
 func All() []*Analyzer {
 	return []*Analyzer{
 		batchProtocol,
-		counterAttribution,
 		cowEscape,
 		ctxPropagation,
 		hotPathAlloc,

@@ -3,8 +3,8 @@
 // source importer — no x/tools, matching the module's zero-dependency
 // stance) plus a set of analyzers that machine-check the codebase's
 // hand-enforced hot-path and concurrency invariants — in-band batch
-// errors, per-execution counter attribution, copy-on-write store
-// snapshots, typed sentinel errors, zero-alloc hot paths. Every invariant
+// errors, execution-context propagation, copy-on-write store snapshots,
+// typed sentinel errors, zero-alloc hot paths. Every invariant
 // here shipped at least one hand-review miss before it became a rule (see
 // ARCHITECTURE.md "Static analysis"); encoding them keeps the next
 // structural PR from re-introducing the same bug class.

@@ -97,7 +97,6 @@ func TestFixtures(t *testing.T) {
 	prog := loadProg(t)
 	fixtures := []string{
 		"batchproto",
-		"counterattr",
 		"cowescape",
 		"ctxprop",
 		"hotpath",
@@ -156,12 +155,12 @@ func TestRepoIsLintClean(t *testing.T) {
 	}
 }
 
-// TestAllAnalyzers pins the suite shape: at least the six ISSUE rules plus
+// TestAllAnalyzers pins the suite shape: the five invariant rules plus
 // ignore-hygiene, unique names, docs present.
 func TestAllAnalyzers(t *testing.T) {
 	as := All()
-	if len(as) < 7 {
-		t.Fatalf("expected at least 7 analyzers, got %d", len(as))
+	if len(as) < 6 {
+		t.Fatalf("expected at least 6 analyzers, got %d", len(as))
 	}
 	seen := map[string]bool{}
 	for _, a := range as {
@@ -174,8 +173,8 @@ func TestAllAnalyzers(t *testing.T) {
 		seen[a.Name] = true
 	}
 	for _, want := range []string{
-		"batch-protocol", "counter-attribution", "cow-escape",
-		"ctx-propagation", "hot-path-alloc", "ignore-hygiene", "sentinel-errors",
+		"batch-protocol", "cow-escape", "ctx-propagation",
+		"hot-path-alloc", "ignore-hygiene", "sentinel-errors",
 	} {
 		if !seen[want] {
 			t.Errorf("missing analyzer %q", want)

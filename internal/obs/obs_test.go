@@ -84,6 +84,18 @@ func TestObserveAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { vec.Get1("warm").Observe(time.Millisecond) }); n != 0 {
 		t.Fatalf("Get1+Observe allocates %v per call", n)
 	}
+	// Observability switched off: an uninstrumented store's nil histogram
+	// and the context probes every request makes on a bare context.
+	var off *Histogram
+	ctx := context.Background()
+	if n := testing.AllocsPerRun(1000, func() {
+		off.Observe(time.Microsecond)
+		if ProfileEnabled(ctx) || RequestID(ctx) != "" {
+			t.Fatal("bare context carries a profile flag or request ID")
+		}
+	}); n != 0 {
+		t.Fatalf("disabled-observability primitives allocate %v per call", n)
+	}
 }
 
 func TestHistogramConcurrent(t *testing.T) {

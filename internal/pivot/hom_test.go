@@ -235,3 +235,33 @@ func TestContainmentReflexiveQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// raceEnabled is set by race_test.go when the race detector is compiled in.
+var raceEnabled bool
+
+// The hom-search loop is the inner loop of chase and backchase: a warmed
+// search over a three-atom chain must not allocate (BenchmarkHomSearch's
+// shape, asserted where tier-1 runs it).
+func TestHomSearchAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	in := NewInstance()
+	for i := 0; i < 400; i++ {
+		in.Add(NewAtom("E", CInt(int64((i*13)%60)), CInt(int64((i*7+3)%60))))
+	}
+	atoms := []Atom{
+		NewAtom("E", Var("x"), Var("y")),
+		NewAtom("E", Var("y"), Var("z")),
+		NewAtom("E", Var("z"), Var("w")),
+	}
+	found := 0
+	count := func(Binding) bool { found++; return true }
+	allocs := testing.AllocsPerRun(20, func() { ForEachHomBind(atoms, in, nil, count) })
+	if found == 0 {
+		t.Fatal("no homomorphisms")
+	}
+	if allocs != 0 {
+		t.Fatalf("hom search allocates %v per run", allocs)
+	}
+}
