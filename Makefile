@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet lint fmt-check staticcheck check bench-check bench-smoke fuzz-smoke chaos metrics-smoke workload-smoke
+.PHONY: all build test test-race vet lint fmt-check staticcheck check bench-check bench-smoke examples-smoke fuzz-smoke chaos metrics-smoke workload-smoke
 
 all: check
 
@@ -53,9 +53,11 @@ check: fmt-check vet lint build test bench-check
 # bench/ is its own module (BENCHMARK.json's contract), so `go build ./...`
 # and `go test ./...` at the root do not see it. It calls store and engine
 # methods by name; this makes a rename that breaks it a build failure here
-# instead of a surprise in the benchmark run.
+# instead of a surprise in the benchmark run. The build writes to
+# /dev/null: bench/ is one main package, so a plain build would leave its
+# binary in the tree.
 bench-check:
-	cd bench && $(GO) build ./... && $(GO) vet ./... && $(GO) test -short ./...
+	cd bench && $(GO) build -o /dev/null ./... && $(GO) vet ./... && $(GO) test -short ./...
 
 # Concurrency soak: the full suite under the race detector (CI runs this
 # as its own job).
@@ -65,6 +67,18 @@ test-race:
 # Quick allocation check of the rewriting hot path.
 bench-smoke:
 	$(GO) test -run xxx -bench 'E3|HomSearch|ChaseSaturation' -benchtime=1x -benchmem
+
+# Runs every example program, the demo and one SQL and one FLWOR query
+# through estocada-sql -explain: the callers of System.Query, none of
+# which has a test of its own. Fails on any non-zero exit.
+examples-smoke:
+	@set -e; for d in examples/*/; do \
+		echo "== $$d"; $(GO) run ./$$d >/dev/null; done
+	@echo "== cmd/estocada-demo"; $(GO) run ./cmd/estocada-demo -users 100 >/dev/null
+	@echo "== cmd/estocada-sql (sql)"; $(GO) run ./cmd/estocada-sql -explain \
+		-q "SELECT u.name FROM Users u WHERE u.city = 'paris'" >/dev/null
+	@echo "== cmd/estocada-sql (flwor)"; $(GO) run ./cmd/estocada-sql -explain -lang flwor \
+		-q 'for c in Carts where c.uid = "u00003" return c.pid, c.qty' >/dev/null
 
 # Short coverage-guided runs of the three parser fuzz targets (the
 # committed corpora under internal/lang/testdata/fuzz always run as part

@@ -1,12 +1,13 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out:
+// Ablation benchmarks for two of the mediator's design choices:
 //
 //   - A1: delegation of same-store subqueries (paper §III, "identify the
 //     largest subquery that can be delegated") vs evaluating every join in
 //     the mediator;
-//   - A2: the plan cache (rewriting is expensive; workloads repeat query
-//     shapes) vs re-rewriting every query;
-//   - A3: provenance-directed candidate generation is ablated by E3's naive
-//     C&B benchmarks (same search, no provenance pruning).
+//   - A3: partition scaling of the parallel substrate (the same filtered
+//     scan over 1 / 2 / 4 / 8 partitions).
+//
+// Provenance-directed candidate generation is ablated by E3's naive C&B
+// benchmarks (same search, no provenance pruning).
 package repro
 
 import (
@@ -26,11 +27,8 @@ import (
 
 // ablationSystem: Users and Orders in one relational store — the delegation
 // sweet spot.
-func ablationSystem(disableDelegation, disableCache bool) *core.System {
-	s := core.New(core.Options{
-		DisableDelegation: disableDelegation,
-		DisablePlanCache:  disableCache,
-	})
+func ablationSystem(disableDelegation bool) *core.System {
+	s := core.New(core.Options{DisableDelegation: disableDelegation})
 	s.AddRelStore("pg")
 	idView := func(name, over string, cols ...string) *catalog.Fragment {
 		args := make([]pivot.Term, len(cols))
@@ -70,32 +68,33 @@ var profileJoinQuery = pivot.NewCQ(
 	pivot.NewAtom("Orders", pivot.Var("o"), pivot.Var("u"), pivot.Var("p"), pivot.Var("amt")))
 
 var (
-	ablOnce       sync.Once
-	ablDelegated  *core.System
-	ablMediator   *core.System
-	ablNoCacheSys *core.System
-	ablCachedSys  *core.System
+	ablOnce      sync.Once
+	ablDelegated *core.System
+	ablMediator  *core.System
 )
 
 func setupAblation(b *testing.B) {
 	b.Helper()
 	ablOnce.Do(func() {
-		ablDelegated = ablationSystem(false, false)
-		ablMediator = ablationSystem(true, false)
-		ablNoCacheSys = ablationSystem(false, true)
-		ablCachedSys = ablationSystem(false, false)
+		ablDelegated = ablationSystem(false)
+		ablMediator = ablationSystem(true)
 	})
 }
 
+// benchAblationQuery rewrites and plans once, then times execution only.
 func benchAblationQuery(b *testing.B, s *core.System) {
 	b.Helper()
+	p, err := s.Prepare(profileJoinQuery)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := s.Query(profileJoinQuery)
+		rows, err := p.Exec()
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res.Rows) == 0 {
+		if len(rows) == 0 {
 			b.Fatal("no rows")
 		}
 	}
@@ -110,17 +109,6 @@ func BenchmarkAblationDelegationOn(b *testing.B) {
 func BenchmarkAblationDelegationOffMediatorJoin(b *testing.B) {
 	setupAblation(b)
 	benchAblationQuery(b, ablMediator)
-}
-
-// A2 — plan cache on/off (same system, cache toggled).
-func BenchmarkAblationPlanCacheOn(b *testing.B) {
-	setupAblation(b)
-	benchAblationQuery(b, ablCachedSys)
-}
-
-func BenchmarkAblationPlanCacheOffRewriteEachQuery(b *testing.B) {
-	setupAblation(b)
-	benchAblationQuery(b, ablNoCacheSys)
 }
 
 // A3 — partition scaling of the parallel substrate: the same filtered scan

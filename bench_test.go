@@ -429,13 +429,17 @@ func BenchmarkE6BindJoinDependentAccess(b *testing.B) {
 		pivot.NewAtom("Q", pivot.Var("uid"), pivot.Var("key"), pivot.Var("val")),
 		pivot.NewAtom("Users", pivot.Var("uid"), pivot.Var("name"), pivot.CStr("paris")),
 		pivot.NewAtom("Prefs", pivot.Var("uid"), pivot.Var("key"), pivot.Var("val")))
+	p, err := m.Sys.Prepare(q)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := m.Sys.Query(q)
+		rows, err := p.Exec()
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res.Rows) == 0 {
+		if len(rows) == 0 {
 			b.Fatal("empty bindjoin result")
 		}
 	}

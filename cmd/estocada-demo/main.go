@@ -97,7 +97,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rows, d, err := prefs.ExecTimed(value.Str(datagen.UID(3)))
+	start := time.Now()
+	rows, err := prefs.Exec(value.Str(datagen.UID(3)))
+	d := time.Since(start)
 	if err != nil {
 		log.Fatal(err)
 	}

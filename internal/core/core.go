@@ -38,35 +38,22 @@ var ErrNoPlan = errors.New("estocada: no equivalent feasible rewriting over the 
 
 // Options tunes the system.
 type Options struct {
-	// Algorithm selects the rewriting engine (default PACB).
-	Algorithm rewrite.Algorithm
-	// MaxRewritings bounds the rewriting search (0 = all minimal).
-	MaxRewritings int
-	// DisablePlanCache turns off the per-query plan cache.
-	DisablePlanCache bool
 	// DisableDelegation forces all joins into the mediator (ablation).
 	DisableDelegation bool
 	// FixedOrderPlanner disables greedy cost-based clause ordering and
 	// falls back to the first access-pattern-feasible body order with
 	// heuristic operator choices (ablation baseline for the cost model).
 	FixedOrderPlanner bool
-	// ReplanDriftFactor triggers a lazy re-plan of cached/prepared plans
-	// when any touched fragment's row count drifts by more than this
-	// factor (in either direction) from the snapshot the plan was ordered
-	// by. 0 means the default of 2.0; negative disables drift re-planning.
-	ReplanDriftFactor float64
 }
 
 // System is one ESTOCADA instance.
 type System struct {
-	opts    Options
 	Catalog *catalog.Catalog
 	Stores  *translate.Stores
 	planner *translate.Planner
 
 	mu     sync.Mutex
 	schema pivot.Constraints
-	cache  map[string]*cacheEntry
 
 	// epoch counts catalog generations: every fragment registration/drop,
 	// constraint merge, or statistics refresh through Materialize bumps
@@ -83,10 +70,10 @@ type System struct {
 	epoch     atomic.Uint64
 	dataEpoch atomic.Uint64
 
-	// replans counts lazy drift-triggered re-plans (cached queries and
-	// prepared statements); planHist records every cost-based plan choice
-	// latency (cold misses, Prepare costing, re-plans). Both are exported
-	// to /metrics by the service layer.
+	// replans counts lazy drift-triggered re-plans of prepared statements;
+	// planHist records every cost-based plan choice latency (Prepare
+	// costing and re-plans). Both are exported to /metrics by the service
+	// layer.
 	replans  atomic.Uint64
 	planHist obs.Histogram
 
@@ -95,23 +82,11 @@ type System struct {
 	dml DML
 }
 
-type cacheEntry struct {
-	plan *translate.Plan
-	// rewritings are all candidate rewritings found at miss time; a drift
-	// re-plan re-runs ChooseBest over them without redoing the PACB search.
-	rewritings []pivot.CQ
-	// dataEpoch/planRows stamp the data generation and per-fragment row
-	// counts the plan was ordered by (see maybeReplanLocked).
-	dataEpoch uint64
-	planRows  map[string]int64
-}
-
 // New creates an empty system.
 func New(opts Options) *System {
 	cat := catalog.New()
 	stores := translate.NewStores()
 	sys := &System{
-		opts:    opts,
 		Catalog: cat,
 		Stores:  stores,
 		planner: &translate.Planner{
@@ -120,7 +95,6 @@ func New(opts Options) *System {
 			DisableDelegation: opts.DisableDelegation,
 			FixedOrder:        opts.FixedOrderPlanner,
 		},
-		cache: map[string]*cacheEntry{},
 	}
 	sys.planner.DataEpoch = sys.DataEpoch
 	return sys
@@ -132,25 +106,15 @@ func (s *System) Replans() uint64 { return s.replans.Load() }
 // PlanSeconds returns the histogram of cost-based plan-choice latencies.
 func (s *System) PlanSeconds() *obs.Histogram { return &s.planHist }
 
-// driftFactor resolves Options.ReplanDriftFactor (0 → default 2.0;
-// negative → disabled, returned as 0).
-func (s *System) driftFactor() float64 {
-	f := s.opts.ReplanDriftFactor
-	if f == 0 {
-		return 2.0
-	}
-	if f < 0 {
-		return 0
-	}
-	return f
-}
+// maxDriftRatio is the row-count ratio, in either direction, past which a
+// prepared statement's plan is re-chosen (see Prepared.maybeReplan).
+const maxDriftRatio = 2.0
 
 // rowsDrifted reports whether any fragment's current row count has moved
-// past the drift factor relative to the plan-time snapshot. Counts are
+// past maxDriftRatio relative to the plan-time snapshot. Counts are
 // +1-smoothed so empty fragments growing from zero register as drift.
 func (s *System) rowsDrifted(planRows map[string]int64) bool {
-	f := s.driftFactor()
-	if f <= 0 || len(planRows) == 0 {
+	if len(planRows) == 0 {
 		return false
 	}
 	names := make([]string, 0, len(planRows))
@@ -164,7 +128,7 @@ func (s *System) rowsDrifted(planRows map[string]int64) bool {
 			continue
 		}
 		ratio := float64(now+1) / float64(then+1)
-		if ratio > f || ratio*f < 1 {
+		if ratio > maxDriftRatio || ratio*maxDriftRatio < 1 {
 			return true
 		}
 	}
@@ -185,43 +149,6 @@ func (s *System) fragmentRowsOf(rewritings []pivot.CQ) map[string]int64 {
 		}
 	}
 	return s.Catalog.RowsSnapshot(names)
-}
-
-// chooseBestTimed runs the planner's joint rewriting+order choice and
-// records the plan-choice latency.
-func (s *System) chooseBestTimed(rewritings []pivot.CQ) (*translate.Plan, []*translate.Plan, error) {
-	start := time.Now()
-	best, all, err := s.planner.ChooseBest(rewritings)
-	s.planHist.Observe(time.Since(start))
-	return best, all, err
-}
-
-// maybeReplanLocked returns the entry's plan, lazily re-planning first when
-// the data epoch has moved AND the fragments' row counts have drifted past
-// the threshold. Caller holds s.mu (re-choice over the stored rewritings is
-// microsecond-scale, so holding the lock keeps the re-plan exactly-once
-// without extra machinery). When the epoch moved but cardinalities are
-// still within the threshold, only the entry's epoch stamp is refreshed —
-// planRows keeps the original snapshot so gradual drift accumulates until
-// it crosses the threshold.
-func (s *System) maybeReplanLocked(e *cacheEntry) (*translate.Plan, error) {
-	cur := s.DataEpoch()
-	if cur == e.dataEpoch {
-		return e.plan, nil
-	}
-	if !s.rowsDrifted(e.planRows) {
-		e.dataEpoch = cur
-		return e.plan, nil
-	}
-	best, _, err := s.chooseBestTimed(e.rewritings)
-	if err != nil {
-		return nil, err
-	}
-	s.replans.Add(1)
-	e.plan = best
-	e.dataEpoch = cur
-	e.planRows = s.fragmentRowsOf(e.rewritings)
-	return best, nil
 }
 
 // AddRelStore creates and registers a relational store.
@@ -265,7 +192,6 @@ func (s *System) AddParStore(name string, partitions int) *parstore.Store {
 func (s *System) AddConstraints(cs pivot.Constraints) {
 	s.mu.Lock()
 	s.schema = s.schema.Merge(cs)
-	s.cache = map[string]*cacheEntry{}
 	s.mu.Unlock()
 	// Mutate, then bump: a concurrent cold miss that reads the new epoch
 	// must also see the merged schema, or its cached rewriting would be
@@ -289,7 +215,7 @@ func (s *System) RegisterFragment(f *catalog.Fragment) error {
 	if err := s.Catalog.Register(f); err != nil {
 		return err
 	}
-	s.invalidateCache()
+	s.bumpCatalogEpoch()
 	return nil
 }
 
@@ -302,7 +228,7 @@ func (s *System) DropFragment(name string) error {
 	if err := s.Catalog.Drop(name); err != nil {
 		return err
 	}
-	s.invalidateCache()
+	s.bumpCatalogEpoch()
 	switch f.Layout.Kind {
 	case catalog.LayoutRel:
 		if st, ok := s.Stores.Rel[f.Store]; ok {
@@ -328,14 +254,10 @@ func (s *System) DropFragment(name string) error {
 	return nil
 }
 
-func (s *System) invalidateCache() {
-	s.mu.Lock()
-	s.cache = map[string]*cacheEntry{}
-	s.mu.Unlock()
-	// Mutate-then-bump, as in AddConstraints: callers change the catalog
-	// before invalidating, so readers of the new epoch see the new state.
-	s.epoch.Add(1)
-}
+// bumpCatalogEpoch marks a catalog change. Mutate-then-bump, as in
+// AddConstraints: callers change the catalog first, so readers of the new
+// epoch see the new state.
+func (s *System) bumpCatalogEpoch() { s.epoch.Add(1) }
 
 // CacheEpoch returns the current catalog generation. Cached plans and
 // rewritings derived under an older epoch are stale.
@@ -362,7 +284,7 @@ func (s *System) Materialize(name string, rows []value.Tuple) error {
 		return err
 	}
 	// Fresh statistics can change the cost-based plan choice.
-	s.invalidateCache()
+	s.bumpCatalogEpoch()
 	return nil
 }
 
@@ -557,8 +479,6 @@ type Report struct {
 	ExecTime     time.Duration
 	// PerStore is the work each store performed for this query.
 	PerStore map[string]engine.CounterSnapshot
-	// CacheHit reports whether the plan came from the cache.
-	CacheHit bool
 	// Profile is the per-operator EXPLAIN ANALYZE tree (only when the
 	// query ran under obs.WithProfile; stamped at cursor close).
 	Profile *exec.OpProfile
@@ -574,28 +494,7 @@ type Result struct {
 // registered fragments: rewrite (PACB under the schema constraints +
 // access patterns), choose the cheapest executable plan, run it.
 func (s *System) Query(q pivot.CQ) (*Result, error) {
-	return s.query(context.Background(), q, nil)
-}
-
-// QueryCtx is Query under a cancellation context: admission layers use it
-// to enforce per-query timeouts. Cancellation is checked once per drained
-// value.Batch, not inside a single store access.
-func (s *System) QueryCtx(ctx context.Context, q pivot.CQ) (*Result, error) {
-	return s.query(ctx, q, nil)
-}
-
-// QueryRows answers a conjunctive query as a streaming cursor: rewriting
-// and plan choice run exactly as in Query, but the execution is returned
-// open instead of drained — batches are produced only as the caller
-// consumes them, so the full result is never materialized in the
-// mediator. The caller owns the cursor and must Close it; the report's
-// ExecTime and PerStore fields are stamped then.
-func (s *System) QueryRows(ctx context.Context, q pivot.CQ) (*Rows, error) {
-	return s.queryRows(ctx, q, nil)
-}
-
-func (s *System) query(ctx context.Context, q pivot.CQ, boundHead []int) (*Result, error) {
-	r, err := s.queryRows(ctx, q, boundHead)
+	r, err := s.QueryRows(context.Background(), q)
 	if err != nil {
 		return nil, err
 	}
@@ -606,88 +505,42 @@ func (s *System) query(ctx context.Context, q pivot.CQ, boundHead []int) (*Resul
 	return &Result{Rows: rows, Report: *r.rep}, nil
 }
 
-func (s *System) queryRows(ctx context.Context, q pivot.CQ, boundHead []int) (*Rows, error) {
+// QueryRows answers a conjunctive query as a streaming cursor. It is a
+// one-shot Prepare with no parameters followed by ExecRows: nothing is
+// cached, so callers that repeat a query shape should Prepare it once (the
+// service layer does). Batches are produced only as the caller consumes
+// them, so the full result is never materialized in the mediator. The
+// caller owns the cursor and must Close it; the report's ExecTime and
+// PerStore fields are stamped then.
+func (s *System) QueryRows(ctx context.Context, q pivot.CQ) (*Rows, error) {
 	start := time.Now()
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	rep := &Report{}
-
-	key := q.Key()
-	var plan *translate.Plan
-	if !s.opts.DisablePlanCache {
-		s.mu.Lock()
-		if e, ok := s.cache[key]; ok {
-			if p, err := s.maybeReplanLocked(e); err == nil {
-				plan = p
-				rep.CacheHit = true
-			}
-		}
-		s.mu.Unlock()
-	}
-	if plan == nil {
-		res, err := rewrite.Rewrite(q, s.Catalog.Views(""), rewrite.Options{
-			Algorithm:          s.opts.Algorithm,
-			Schema:             s.SchemaConstraints(),
-			AccessPatterns:     s.Catalog.AccessPatterns(),
-			MaxRewritings:      s.opts.MaxRewritings,
-			BoundHeadPositions: boundHead,
-		})
-		if err != nil {
-			return nil, err
-		}
-		rep.RewriteStats = res.Stats
-		rep.Alternatives = len(res.Rewritings)
-		if len(res.Rewritings) == 0 {
-			return nil, ErrNoPlan
-		}
-		best, _, err := s.chooseBestTimed(res.Rewritings)
-		if err != nil {
-			return nil, err
-		}
-		plan = best
-		if !s.opts.DisablePlanCache {
-			s.mu.Lock()
-			s.cache[key] = &cacheEntry{
-				plan:       plan,
-				rewritings: res.Rewritings,
-				dataEpoch:  s.DataEpoch(),
-				planRows:   s.fragmentRowsOf(res.Rewritings),
-			}
-			s.mu.Unlock()
-		}
-	}
-	rep.Rewriting = plan.Rewriting
-	rep.PlanExplain = plan.Explain()
-	rep.PlanningTime = time.Since(start)
-
-	// Per-execution attribution: the execution carries its own counter
-	// sink, so concurrent queries report disjoint, exact per-store splits
-	// (global-snapshot diffing would charge this query with other queries'
-	// concurrent work). Store tuples are tallied once per delivered batch
-	// and the cursor drains batch-at-a-time.
-	attr := engine.NewExecCounters()
-	ec := &exec.Ctx{Context: ctx, Counters: attr}
-	var prof *exec.Profile
-	if obs.ProfileEnabled(ctx) {
-		prof = exec.NewProfile()
-		ec.Prof = prof
-	}
-	if tr := obs.TraceFrom(ctx); tr != nil {
-		ec.Trace, ec.Span = tr, tr.Root()
-	}
-	execStart := time.Now()
-	rs, err := exec.Open(ec, plan.Root)
+	p, err := s.Prepare(q)
 	if err != nil {
 		return nil, err
 	}
-	root := plan.Root
-	rs.OnClose(func() {
+	// Binding builds the physical plan and caches it under the empty
+	// parameter key, so ExecRows below only opens it.
+	plan, err := p.bind(nil)
+	if err != nil {
+		return nil, err
+	}
+	rep := &Report{
+		Rewriting:    plan.Rewriting,
+		PlanExplain:  plan.Explain(),
+		RewriteStats: p.stats,
+		Alternatives: len(p.candidates),
+		PlanningTime: time.Since(start),
+	}
+	execStart := time.Now()
+	r, err := p.ExecRows(ctx, nil)
+	if err != nil {
+		return nil, err
+	}
+	r.rep = rep
+	r.OnClose(func() {
 		rep.ExecTime = time.Since(execStart)
-		rep.PerStore = attr.Snapshot()
-		if prof != nil {
-			rep.Profile = prof.Tree(root)
-		}
+		rep.PerStore = r.attr.Snapshot()
+		rep.Profile = r.Profile()
 	})
-	return &Rows{Rows: rs, attr: attr, rep: rep, prof: prof, root: root, plan: plan}, nil
+	return r, nil
 }

@@ -255,29 +255,6 @@ func TestQueryNoPlan(t *testing.T) {
 	}
 }
 
-func TestPlanCache(t *testing.T) {
-	s := testSystem(t)
-	q := pivot.NewCQ(atom("Q", v("n")),
-		atom("Users", v("u"), v("n"), pivot.CStr("paris")))
-	r1, err := s.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Report.CacheHit {
-		t.Error("first query must miss the cache")
-	}
-	r2, err := s.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r2.Report.CacheHit {
-		t.Error("second query must hit the cache")
-	}
-	if len(r1.Rows) != len(r2.Rows) {
-		t.Error("cached plan returned different rows")
-	}
-}
-
 func TestPreparedKVLookup(t *testing.T) {
 	s := testSystem(t)
 	// Parameterized preference lookup: infeasible as a plain query (key
@@ -486,6 +463,49 @@ func TestRefreshAllStatsCoversEveryLayout(t *testing.T) {
 		if st.Rows == 0 {
 			t.Errorf("fragment %s: stats not refreshed (layout %v)", f.Name, f.Layout.Kind)
 		}
+	}
+}
+
+// Reloading a fragment with rows that overlap the stored ones must leave
+// exactly the target rows in every layout, as a data-only change.
+func TestReloadFragmentEveryLayout(t *testing.T) {
+	cases := []struct {
+		frag string
+		rows []value.Tuple
+	}{
+		{"FUsers", []value.Tuple{value.TupleOf("u1", "ada", "paris"), value.TupleOf("u4", "dan", "nice")}},
+		{"FPrefs", []value.Tuple{value.TupleOf("u1", "theme", "dark"), value.TupleOf("u3", "lang", "en")}},
+		{"FCarts", []value.Tuple{value.TupleOf("u2", "sku-b", value.Int(1)), value.TupleOf("u3", "sku-c", value.Int(4))}},
+		{"FProducts", []value.Tuple{value.TupleOf("p2", "video", "silent projector"), value.TupleOf("p3", "audio", "loud speaker")}},
+		{"FVisits", []value.Tuple{value.TupleOf("u1", "p1", value.Int(30)), value.TupleOf("u2", "p2", value.Int(7))}},
+	}
+	for _, c := range cases {
+		t.Run(c.frag, func(t *testing.T) {
+			s := testSystem(t)
+			epoch, data := s.CacheEpoch(), s.DataEpoch()
+			if err := s.ReloadFragment(c.frag, c.rows); err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.FragmentRows(c.frag)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gs, ws := rowSet(got), rowSet(c.rows)
+			if len(got) != len(c.rows) || len(gs) != len(ws) {
+				t.Fatalf("stored %v, want %v", got, c.rows)
+			}
+			for k := range ws {
+				if !gs[k] {
+					t.Errorf("missing %s after reload; stored %v", k, got)
+				}
+			}
+			if s.DataEpoch() == data {
+				t.Error("reload did not advance the data epoch")
+			}
+			if s.CacheEpoch() != epoch {
+				t.Error("reload moved the catalog epoch")
+			}
+		})
 	}
 }
 

@@ -30,6 +30,9 @@ type Prepared struct {
 	// maps each parameter to its head position.
 	candidates []pivot.CQ
 	paramPos   []int
+	// stats is the search effort of the one PACB run that found the
+	// candidates.
+	stats rewrite.Stats
 
 	// state is the current plan generation, swapped atomically on a drift
 	// re-plan so hot-path Execs never take a lock; replanMu serializes
@@ -96,10 +99,8 @@ func (s *System) Prepare(q pivot.CQ, params ...pivot.Var) (*Prepared, error) {
 		boundPos = append(boundPos, pos)
 	}
 	res, err := rewrite.Rewrite(q, s.Catalog.Views(""), rewrite.Options{
-		Algorithm:          s.opts.Algorithm,
 		Schema:             s.SchemaConstraints(),
 		AccessPatterns:     s.Catalog.AccessPatterns(),
-		MaxRewritings:      s.opts.MaxRewritings,
 		BoundHeadPositions: boundPos,
 	})
 	if err != nil {
@@ -114,6 +115,7 @@ func (s *System) Prepare(q pivot.CQ, params ...pivot.Var) (*Prepared, error) {
 		params:     params,
 		candidates: res.Rewritings,
 		paramPos:   paramPos,
+		stats:      res.Stats,
 	}
 	st, err := p.choosePlanState()
 	if err != nil {
@@ -222,26 +224,13 @@ func (p *Prepared) Stores() []string {
 }
 
 // Exec runs the prepared query with the given parameter values (one per
-// declared parameter, in order).
+// declared parameter, in order) and drains the result.
 func (p *Prepared) Exec(args ...value.Value) ([]value.Tuple, error) {
-	rows, _, err := p.ExecCtx(context.Background(), nil, args...)
-	return rows, err
-}
-
-// ExecCtx runs the prepared query under a cancellation context. When
-// attr is non-nil, the execution's per-store work is attributed into it
-// (the sink may be shared across calls; pass a fresh one for a per-query
-// split). Returns the rows and the per-store split of this execution.
-func (p *Prepared) ExecCtx(ctx context.Context, attr *engine.ExecCounters, args ...value.Value) ([]value.Tuple, map[string]engine.CounterSnapshot, error) {
-	r, err := p.ExecRows(ctx, attr, args...)
+	r, err := p.ExecRows(context.Background(), nil, args...)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	rows, err := r.All()
-	if err != nil {
-		return nil, nil, err
-	}
-	return rows, r.PerStore(), nil
+	return r.All()
 }
 
 // ExecRows runs the prepared query as a streaming cursor: the bound plan
@@ -312,13 +301,6 @@ func (p *Prepared) bind(args []value.Value) (*translate.Plan, error) {
 		}
 	}
 	return plan, nil
-}
-
-// ExecTimed is Exec plus the execution latency, for workload reports.
-func (p *Prepared) ExecTimed(args ...value.Value) ([]value.Tuple, time.Duration, error) {
-	start := time.Now()
-	rows, err := p.Exec(args...)
-	return rows, time.Since(start), err
 }
 
 func valueToConst(v value.Value) pivot.Const {

@@ -61,9 +61,9 @@ func TestQueryRowsMatchesQuery(t *testing.T) {
 	}
 }
 
-// Prepared.ExecRows must agree with ExecCtx and keep the bound-plan
-// cache behavior (second execution of the same binding hits the cache).
-func TestPreparedExecRowsMatchesExecCtx(t *testing.T) {
+// Prepared.ExecRows must agree with Exec and keep the bound-plan cache
+// behavior (second execution of the same binding hits the cache).
+func TestPreparedExecRowsMatchesExec(t *testing.T) {
 	s := testSystem(t)
 	q := pivot.NewCQ(atom("Q", v("u"), v("k"), v("val")),
 		atom("Prefs", v("u"), v("k"), v("val")))
@@ -72,7 +72,7 @@ func TestPreparedExecRowsMatchesExecCtx(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, uid := range []string{"u1", "u2", "u1"} {
-		want, _, err := prep.ExecCtx(context.Background(), nil, value.Str(uid))
+		want, err := prep.Exec(value.Str(uid))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,8 +14,8 @@ import (
 // RefreshStats re-collects a fragment's statistics by reading its extent
 // from its store (an administrative operation — a key-value fragment is
 // enumerated via the store's maintenance dump, the way a production
-// system would run ANALYZE during quiet hours). The plan cache is
-// invalidated so subsequent queries re-cost.
+// system would run ANALYZE during quiet hours). The catalog epoch is
+// bumped so cached plans re-cost.
 func (s *System) RefreshStats(name string) error {
 	f, ok := s.Catalog.Get(name)
 	if !ok {
@@ -28,7 +28,7 @@ func (s *System) RefreshStats(name string) error {
 	if err := s.Catalog.SetStats(name, stats.Collect(rows)); err != nil {
 		return err
 	}
-	s.invalidateCache()
+	s.bumpCatalogEpoch()
 	return nil
 }
 

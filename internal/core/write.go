@@ -259,10 +259,13 @@ func driftErrN(frag string, want, got int) error {
 	return fmt.Errorf("estocada: fragment %q drift: delta deleted %d stored tuples, expected %d", frag, got, want)
 }
 
-// ReloadFragment replaces a fragment's physical contents wholesale: the
-// container is dropped, recreated and reloaded with the given rows, and
-// fresh statistics are recorded. This is the full re-materialization path
-// (the baseline incremental maintenance is measured against, and the
+// ReloadFragment makes a fragment's physical contents equal the given
+// rows and records fresh statistics. It reads the stored extent, diffs it
+// against rows by tuple key and applies the difference through the same
+// store writes as ApplyFragmentDelta, so concurrent readers see no more
+// than an ordinary write shows them (the container is never dropped). A
+// missing container is created first. This is the full re-materialization
+// path (the baseline incremental maintenance is measured against, and the
 // recovery path when drift is detected). Like ApplyFragmentDelta it is a
 // data-only change: the data epoch advances, the catalog epoch does not.
 func (s *System) ReloadFragment(name string, rows []value.Tuple) error {
@@ -276,54 +279,43 @@ func (s *System) ReloadFragment(name string, rows []value.Tuple) error {
 			return fmt.Errorf("%w: fragment %q expects arity %d, got row of %d", ErrBadWrite, name, arity, len(r))
 		}
 	}
-	if err := s.dropContainer(f); err != nil {
+	if err := s.load(f, nil); err != nil {
 		return err
 	}
-	if err := s.load(f, rows); err != nil {
+	cur, err := s.fragmentExtent(f)
+	if err != nil {
+		return err
+	}
+	// Multiset difference: stored tuples the target lacks are deleted,
+	// target tuples the store lacks are added.
+	want := make(map[string]int, len(rows))
+	for _, r := range rows {
+		want[r.Key()]++
+	}
+	var dels []value.Tuple
+	for _, r := range cur {
+		k := r.Key()
+		if want[k] > 0 {
+			want[k]--
+		} else {
+			dels = append(dels, r)
+		}
+	}
+	var adds []value.Tuple
+	for _, r := range rows {
+		k := r.Key()
+		if want[k] > 0 {
+			want[k]--
+			adds = append(adds, r)
+		}
+	}
+	if err := s.applyDelta(f, adds, dels); err != nil {
 		return err
 	}
 	if err := s.Catalog.SetStats(name, stats.Collect(rows)); err != nil {
 		return err
 	}
 	s.dataEpoch.Add(1)
-	return nil
-}
-
-// dropContainer removes a fragment's physical container if it exists (the
-// descriptor stays registered).
-func (s *System) dropContainer(f *catalog.Fragment) error {
-	switch f.Layout.Kind {
-	case catalog.LayoutRel:
-		if st, ok := s.Stores.Rel[f.Store]; ok {
-			if _, err := st.Table(f.Layout.Collection); err == nil {
-				return st.DropTable(f.Layout.Collection)
-			}
-		}
-	case catalog.LayoutPar:
-		if st, ok := s.Stores.Par[f.Store]; ok {
-			if _, err := st.Table(f.Layout.Collection); err == nil {
-				return st.DropTable(f.Layout.Collection)
-			}
-		}
-	case catalog.LayoutKV:
-		if st, ok := s.Stores.KV[f.Store]; ok {
-			if _, err := st.Len(f.Layout.Collection); err == nil {
-				return st.DropCollection(f.Layout.Collection)
-			}
-		}
-	case catalog.LayoutDoc:
-		if st, ok := s.Stores.Doc[f.Store]; ok {
-			if _, err := st.Len(f.Layout.Collection); err == nil {
-				return st.DropCollection(f.Layout.Collection)
-			}
-		}
-	case catalog.LayoutText:
-		if st, ok := s.Stores.Text[f.Store]; ok {
-			if _, err := st.Len(f.Layout.Collection); err == nil {
-				return st.DropCollection(f.Layout.Collection)
-			}
-		}
-	}
 	return nil
 }
 

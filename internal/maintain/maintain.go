@@ -491,7 +491,7 @@ func (m *Maintainer) write(pred string, rows []value.Tuple, sign int64) (*core.D
 			// retry: undo the base change and rebuild EVERY affected
 			// fragment against the restored base, so the returned error
 			// means "nothing happened". The resync path is heavyweight
-			// (wholesale container reload) but only runs on this rare
+			// (full extent read and diff) but only runs on this rare
 			// failure path.
 			applyBase(-1)
 			for _, fd := range work {
@@ -509,8 +509,8 @@ func (m *Maintainer) write(pred string, rows []value.Tuple, sign int64) (*core.D
 }
 
 // resyncLocked recomputes one fragment from the current base state and
-// reloads its container wholesale — the recovery path when a delta apply
-// fails partway. Caller holds m.mu and the fragment's applyMu; state is
+// brings its container to that extent (System.ReloadFragment applies the
+// difference) — the recovery path when a delta apply fails partway. Caller holds m.mu and the fragment's applyMu; state is
 // replaced in place (never through the frags map, which concurrent
 // appliers read).
 func (m *Maintainer) resyncLocked(st *fragState) error {
@@ -531,7 +531,8 @@ func (m *Maintainer) resyncLocked(st *fragState) error {
 
 // Recompute re-materializes a fragment from scratch: its extent is
 // re-evaluated from the current base state, the physical container is
-// reloaded wholesale and counts/statistics reset. This is the maintenance
+// brought to that extent by applying the difference to what it stores,
+// and counts/statistics reset. This is the maintenance
 // baseline incremental deltas are measured against, and the recovery path
 // for drift.
 func (m *Maintainer) Recompute(name string) error {

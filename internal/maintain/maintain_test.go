@@ -332,7 +332,7 @@ func TestQueriesSeeWrites(t *testing.T) {
 	if len(res.Rows) != 1 || !strings.Contains(res.Rows[0].String(), "u1") {
 		t.Fatalf("query after write: rows = %v", res.Rows)
 	}
-	// Delete and re-run: the cached plan must see the new data.
+	// Delete and re-run: the query must see the new data.
 	if _, err := sys.DeleteFrom("R", value.TupleOf("u1", "p1")); err != nil {
 		t.Fatal(err)
 	}
@@ -342,9 +342,6 @@ func TestQueriesSeeWrites(t *testing.T) {
 	}
 	if len(res.Rows) != 0 {
 		t.Fatalf("query after delete: rows = %v", res.Rows)
-	}
-	if !res.Report.CacheHit {
-		t.Errorf("second run missed the plan cache — DML must not evict plans")
 	}
 }
 

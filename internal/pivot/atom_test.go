@@ -38,6 +38,24 @@ func TestAtomKeyAndString(t *testing.T) {
 	}
 }
 
+// String constants that spell a separator and the next term's key must
+// not make distinct atoms share a key.
+func TestAtomKeyInjectiveForStrings(t *testing.T) {
+	pairs := [][2]Atom{
+		{NewAtom("R", CStr("a,#sb"), CStr("c"), Var("z")), NewAtom("R", CStr("a"), CStr("b,#sc"), Var("z"))},
+		{NewAtom("R", CStr("x|#sy"), CStr("z"), Var("z")), NewAtom("R", CStr("x"), CStr("y|#sz"), Var("z"))},
+	}
+	for _, p := range pairs {
+		if p[0].Key() == p[1].Key() {
+			t.Errorf("%s and %s share key %q", p[0], p[1], p[0].Key())
+		}
+	}
+	long := CStr(strings.Repeat("x", 1000))
+	if n := testing.AllocsPerRun(100, func() { _ = long.Key() }); n > 1 {
+		t.Errorf("string Const.Key allocates %v times, want 1", n)
+	}
+}
+
 func TestSameAtom(t *testing.T) {
 	a := NewAtom("R", Var("x"))
 	if !SameAtom(a, a.Clone()) {

@@ -101,7 +101,10 @@ func (Const) Kind() TermKind { return KindConst }
 func (c Const) Key() string {
 	switch v := c.V.(type) {
 	case string:
-		return "#s" + v
+		// Length-prefixed: Atom and CQ keys concatenate term keys, and an
+		// unprefixed string could spell a separator and the next key.
+		var n [20]byte
+		return "#s" + string(strconv.AppendInt(n[:0], int64(len(v)), 10)) + ":" + v
 	case int64:
 		return "#i" + strconv.FormatInt(v, 10)
 	case int:
