@@ -80,14 +80,16 @@ examples-smoke:
 	@echo "== cmd/estocada-sql (flwor)"; $(GO) run ./cmd/estocada-sql -explain -lang flwor \
 		-q 'for c in Carts where c.uid = "u00003" return c.pid, c.qty' >/dev/null
 
-# Short coverage-guided runs of the three parser fuzz targets (the
-# committed corpora under internal/lang/testdata/fuzz always run as part
-# of `make test`; this adds fresh exploration). FUZZTIME scales the run.
+# Short coverage-guided runs of the three parser fuzz targets and of the
+# shape cache's differential target (seed inputs and the committed corpora
+# under internal/lang/testdata/fuzz always run as part of `make test`; this
+# adds fresh exploration). FUZZTIME scales the run.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -fuzz FuzzParseSQL -fuzztime $(FUZZTIME) ./internal/lang/
 	$(GO) test -fuzz FuzzParseFLWOR -fuzztime $(FUZZTIME) ./internal/lang/
 	$(GO) test -fuzz FuzzParseCQ -fuzztime $(FUZZTIME) ./internal/lang/
+	$(GO) test -fuzz FuzzShapeMatchesParse -fuzztime $(FUZZTIME) ./internal/service/
 
 # Fault-injection suite under the race detector: chaos workloads, the
 # store contract (internal/engines) and the injector unit tests, the

@@ -229,3 +229,36 @@ func TestPprofMounted(t *testing.T) {
 		t.Errorf("/debug/pprof/cmdline status = %d", w.Code)
 	}
 }
+
+// Ad-hoc text through /query goes through the service's shape cache: the
+// second text of one shape is a hit, counted in /stats and /metrics.
+func TestQueryTextShapeCacheCounted(t *testing.T) {
+	srv := testServer(t, service.Options{})
+	for _, uid := range []string{"u00001", "u00002"} {
+		code, resp := post(t, srv, "/query",
+			`{"lang":"sql","query":"SELECT c.pid, c.qty FROM Carts c WHERE c.uid = '`+uid+`'"}`)
+		if code != http.StatusOK {
+			t.Fatalf("status = %d, body %v", code, resp)
+		}
+	}
+	var stats struct {
+		Service service.MetricsSnapshot `json:"service"`
+	}
+	if err := json.Unmarshal(get(t, srv, "/stats").Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if s := stats.Service; s.ShapeHits != 1 || s.ShapeMisses != 1 || s.ShapeDeclines != 0 || s.ShapeEntries != 1 {
+		t.Errorf("/stats shape counters = %+v, want 1 hit, 1 miss, 0 declines, 1 entry", s)
+	}
+	text := get(t, srv, "/metrics").Body.String()
+	for _, want := range []string{
+		`estocada_shape_cache_events_total{event="hit"} 1`,
+		`estocada_shape_cache_events_total{event="miss"} 1`,
+		`estocada_shape_cache_events_total{event="decline"} 0`,
+		`estocada_shape_cache_entries 1`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("missing %q in /metrics", want)
+		}
+	}
+}

@@ -80,10 +80,10 @@ func (p *parser) cqAtom() (pivot.Atom, error) {
 
 // cqTerm parses one argument: a literal constant or a variable name.
 func (p *parser) cqTerm() (pivot.Term, error) {
-	if lit, ok, err := p.literal(); err != nil {
+	if k, ok, err := p.literal(); err != nil {
 		return nil, err
 	} else if ok {
-		return pivot.NormalizeConst(lit), nil
+		return k, nil
 	}
 	name, err := p.ident()
 	if err != nil {

@@ -27,8 +27,7 @@ func ParseFLWOR(input string, schema Schema) (pivot.CQ, error) {
 	}
 
 	// Bindings: var in Collection {, var in Collection}
-	aliases := map[string]string{}
-	var aliasOrder []string
+	sc := newScope(schema, "binding")
 	for {
 		a, err := p.ident()
 		if err != nil {
@@ -44,137 +43,37 @@ func ParseFLWOR(input string, schema Schema) (pivot.CQ, error) {
 		if _, ok := schema[rel]; !ok {
 			return pivot.CQ{}, fmt.Errorf("lang: unknown collection %q", rel)
 		}
-		if _, dup := aliases[a]; dup {
+		if _, dup := sc.aliases[a]; dup {
 			return pivot.CQ{}, fmt.Errorf("lang: duplicate binding %q", a)
 		}
-		aliases[a] = rel
-		aliasOrder = append(aliasOrder, a)
+		sc.aliases[a] = rel
+		sc.order = append(sc.order, a)
 		if !p.symbol(",") {
 			break
 		}
 	}
 
-	// Reuse the SQL machinery by rebuilding an equivalent SELECT text would
-	// be fragile; instead share the same union-find construction inline.
-	varOf := func(alias, col string) pivot.Var { return pivot.Var(alias + "·" + col) }
-	parent := map[pivot.Var]pivot.Var{}
-	var find func(v pivot.Var) pivot.Var
-	find = func(v pivot.Var) pivot.Var {
-		if pp, ok := parent[v]; ok && pp != v {
-			r := find(pp)
-			parent[v] = r
-			return r
-		}
-		return v
-	}
-	consts := map[pivot.Var]pivot.Const{}
-
 	if p.keyword("where") {
-		for {
-			a1, err := p.ident()
-			if err != nil {
-				return pivot.CQ{}, err
-			}
-			if err := p.expectSymbol("."); err != nil {
-				return pivot.CQ{}, err
-			}
-			c1, err := p.ident()
-			if err != nil {
-				return pivot.CQ{}, err
-			}
-			if err := p.expectSymbol("="); err != nil {
-				return pivot.CQ{}, err
-			}
-			if lit, ok, err := p.literal(); err != nil {
-				return pivot.CQ{}, err
-			} else if ok {
-				consts[find(varOf(a1, c1))] = pivot.NormalizeConst(lit)
-			} else {
-				a2, err := p.ident()
-				if err != nil {
-					return pivot.CQ{}, err
-				}
-				if err := p.expectSymbol("."); err != nil {
-					return pivot.CQ{}, err
-				}
-				c2, err := p.ident()
-				if err != nil {
-					return pivot.CQ{}, err
-				}
-				ra, rb := find(varOf(a1, c1)), find(varOf(a2, c2))
-				if ra != rb {
-					parent[ra] = rb
-				}
-			}
-			if !p.keyword("and") {
-				break
-			}
+		if err := sc.where(p); err != nil {
+			return pivot.CQ{}, err
 		}
 	}
-
 	if err := p.expectKeyword("return"); err != nil {
 		return pivot.CQ{}, err
 	}
-	type colRef struct{ alias, col string }
-	var returns []colRef
-	for {
-		a, err := p.ident()
-		if err != nil {
-			return pivot.CQ{}, err
-		}
-		if err := p.expectSymbol("."); err != nil {
-			return pivot.CQ{}, err
-		}
-		c, err := p.ident()
-		if err != nil {
-			return pivot.CQ{}, err
-		}
-		returns = append(returns, colRef{a, c})
-		if !p.symbol(",") {
-			break
-		}
+	returns, err := p.colRefs()
+	if err != nil {
+		return pivot.CQ{}, err
 	}
 	if p.peek().kind != tokEOF {
 		return pivot.CQ{}, fmt.Errorf("lang: trailing input at position %d (%q)", p.peek().pos, p.peek().text)
 	}
 
-	term := func(alias, col string) (pivot.Term, error) {
-		rel := aliases[alias]
-		if rel == "" {
-			return nil, fmt.Errorf("lang: unknown binding %q", alias)
-		}
-		if _, err := schema.colPos(rel, col); err != nil {
-			return nil, err
-		}
-		root := find(varOf(alias, col))
-		if c, pinned := constFor(consts, parent, root); pinned {
-			return c, nil
-		}
-		return root, nil
+	headArgs, err := sc.head(returns)
+	if err != nil {
+		return pivot.CQ{}, err
 	}
-	var body []pivot.Atom
-	for _, alias := range aliasOrder {
-		rel := aliases[alias]
-		cols := schema[rel]
-		args := make([]pivot.Term, len(cols))
-		for i, col := range cols {
-			t, err := term(alias, col)
-			if err != nil {
-				return pivot.CQ{}, err
-			}
-			args[i] = t
-		}
-		body = append(body, pivot.Atom{Pred: rel, Args: args})
-	}
-	var headArgs []pivot.Term
-	for _, r := range returns {
-		t, err := term(r.alias, r.col)
-		if err != nil {
-			return pivot.CQ{}, err
-		}
-		headArgs = append(headArgs, t)
-	}
-	q := pivot.CQ{Head: pivot.NewAtom("Q", headArgs...), Body: body}
+	q := pivot.CQ{Head: pivot.NewAtom("Q", headArgs...), Body: sc.body()}
 	if err := q.Validate(); err != nil {
 		return pivot.CQ{}, err
 	}

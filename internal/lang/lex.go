@@ -13,9 +13,10 @@ package lang
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"unicode"
+
+	"repro/internal/pivot"
 )
 
 type tokenKind int
@@ -34,46 +35,76 @@ type token struct {
 	pos  int
 }
 
-type lexer struct {
-	in   string
-	pos  int
-	toks []token
+// scanner yields the tokens of one input without allocating: a token's
+// text is a substring of the input (string literals have no escapes, so
+// their text is exactly the bytes between the quotes). It is the one
+// scanning loop; lex and Shape are its two consumers.
+type scanner struct {
+	in  string
+	pos int
 }
 
-// lex splits the input into tokens. Keywords stay plain identifiers; the
-// parsers match them case-insensitively.
-func lex(in string) ([]token, error) {
-	l := &lexer{in: in}
-	for l.pos < len(l.in) {
-		c := l.in[l.pos]
+// next returns the next token, tokEOF at the end of the input. Keywords
+// stay plain identifiers; the parsers match them case-insensitively.
+func (s *scanner) next() (token, error) {
+	for s.pos < len(s.in) {
+		start := s.pos
+		c := s.in[start]
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			l.pos++
+			s.pos++
 		case c == '\'' || c == '"':
-			if err := l.lexString(c); err != nil {
-				return nil, err
+			n := strings.IndexByte(s.in[start+1:], c)
+			if n < 0 {
+				return token{}, fmt.Errorf("lang: unterminated string starting at %d", start)
 			}
+			s.pos = start + n + 2
+			return token{tokString, s.in[start+1 : start+1+n], start}, nil
 		case c == '.' || c == ',' || c == '=' || c == '(' || c == ')' || c == '*':
-			l.toks = append(l.toks, token{tokSymbol, string(c), l.pos})
-			l.pos++
+			s.pos++
+			return token{tokSymbol, s.in[start:s.pos], start}, nil
 		case c == ':':
 			// ":-" is the datalog rule arrow of the CQ surface syntax.
-			if l.pos+1 < len(l.in) && l.in[l.pos+1] == '-' {
-				l.toks = append(l.toks, token{tokSymbol, ":-", l.pos})
-				l.pos += 2
-			} else {
-				return nil, fmt.Errorf("lang: unexpected character %q at %d", c, l.pos)
+			if start+1 < len(s.in) && s.in[start+1] == '-' {
+				s.pos += 2
+				return token{tokSymbol, ":-", start}, nil
 			}
+			return token{}, fmt.Errorf("lang: unexpected character %q at %d", c, start)
 		case c == '-' || c >= '0' && c <= '9':
-			l.lexNumber()
+			s.pos++
+			for s.pos < len(s.in) && (s.in[s.pos] >= '0' && s.in[s.pos] <= '9' || s.in[s.pos] == '.') {
+				s.pos++
+			}
+			return token{tokNumber, s.in[start:s.pos], start}, nil
 		case isIdentStart(rune(c)):
-			l.lexIdent()
+			// The first byte is consumed unconditionally: '$' may start an
+			// identifier but not continue one.
+			s.pos++
+			for s.pos < len(s.in) && isIdentRest(rune(s.in[s.pos])) {
+				s.pos++
+			}
+			return token{tokIdent, s.in[start:s.pos], start}, nil
 		default:
-			return nil, fmt.Errorf("lang: unexpected character %q at %d", c, l.pos)
+			return token{}, fmt.Errorf("lang: unexpected character %q at %d", c, start)
 		}
 	}
-	l.toks = append(l.toks, token{tokEOF, "", l.pos})
-	return l.toks, nil
+	return token{tokEOF, "", s.pos}, nil
+}
+
+// lex splits the input into tokens, ending with tokEOF.
+func lex(in string) ([]token, error) {
+	s := scanner{in: in}
+	var toks []token
+	for {
+		t, err := s.next()
+		if err != nil {
+			return nil, err
+		}
+		toks = append(toks, t)
+		if t.kind == tokEOF {
+			return toks, nil
+		}
+	}
 }
 
 func isIdentStart(r rune) bool {
@@ -82,42 +113,6 @@ func isIdentStart(r rune) bool {
 
 func isIdentRest(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-'
-}
-
-func (l *lexer) lexString(quote byte) error {
-	start := l.pos
-	l.pos++
-	var sb strings.Builder
-	for l.pos < len(l.in) {
-		c := l.in[l.pos]
-		if c == quote {
-			l.pos++
-			l.toks = append(l.toks, token{tokString, sb.String(), start})
-			return nil
-		}
-		sb.WriteByte(c)
-		l.pos++
-	}
-	return fmt.Errorf("lang: unterminated string starting at %d", start)
-}
-
-func (l *lexer) lexNumber() {
-	start := l.pos
-	if l.in[l.pos] == '-' {
-		l.pos++
-	}
-	for l.pos < len(l.in) && (l.in[l.pos] >= '0' && l.in[l.pos] <= '9' || l.in[l.pos] == '.') {
-		l.pos++
-	}
-	l.toks = append(l.toks, token{tokNumber, l.in[start:l.pos], start})
-}
-
-func (l *lexer) lexIdent() {
-	start := l.pos
-	for l.pos < len(l.in) && isIdentRest(rune(l.in[l.pos])) {
-		l.pos++
-	}
-	l.toks = append(l.toks, token{tokIdent, l.in[start:l.pos], start})
 }
 
 // parser is a simple cursor over tokens shared by both grammars.
@@ -178,22 +173,16 @@ func (p *parser) ident() (string, error) {
 	return t.text, nil
 }
 
-// literal parses a string or number literal into a Go value.
-func (p *parser) literal() (any, bool, error) {
+// literal parses a string or number literal into a constant.
+func (p *parser) literal() (pivot.Const, bool, error) {
 	t := p.peek()
-	switch t.kind {
-	case tokString:
-		p.next()
-		return t.text, true, nil
-	case tokNumber:
-		p.next()
-		if strings.Contains(t.text, ".") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			return f, true, err
-		}
-		i, err := strconv.ParseInt(t.text, 10, 64)
-		return i, true, err
-	default:
-		return nil, false, nil
+	if t.kind != tokString && t.kind != tokNumber {
+		return pivot.Const{}, false, nil
 	}
+	p.next()
+	lit, err := literalOf(t)
+	if err != nil {
+		return pivot.Const{}, true, err
+	}
+	return lit.Const(), true, nil
 }

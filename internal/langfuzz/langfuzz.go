@@ -108,6 +108,20 @@ func (g *Generator) Triple() Triple {
 	return Triple{SQL: renderSQL(m), FLWOR: renderFLWOR(m), CQ: renderCQ(m)}
 }
 
+// Template generates one random query like Triple, with the literal of
+// every constant filter replaced by the placeholder "§i§" (i numbers the
+// filters from 0) for the caller to fill. The CQ rendering repeats a
+// placeholder wherever its column class appears, the head included.
+func (g *Generator) Template() Triple {
+	m := g.buildModel()
+	for i := range m.filters {
+		lit := literal{text: fmt.Sprintf("§%d§", i)}
+		m.filters[i].lit = lit
+		m.consts[m.find(m.filters[i].ref)] = lit
+	}
+	return Triple{SQL: renderSQL(m), FLWOR: renderFLWOR(m), CQ: renderCQ(m)}
+}
+
 // buildModel draws a random conjunctive query: 1-3 atoms, consecutive
 // atoms joined on a shared column (keeping results join-bounded),
 // optional constant filters, and a 1-3 column projection.

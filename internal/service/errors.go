@@ -9,7 +9,8 @@ import "errors"
 // everything else to 500) instead of guessing from error text.
 var (
 	// ErrParse wraps a surface-language parse failure; the underlying
-	// lang error is appended to the message.
+	// lang error is appended to the message and wrapped too, so
+	// errors.Is also matches lang.ErrConflictingConstants.
 	ErrParse = errors.New("service: query parse error")
 	// ErrUnknownLanguage is returned for a query language other than
 	// sql, flwor or cq.

@@ -11,7 +11,9 @@ import (
 // breakdown telescopes the request: parse (surface text → CQ),
 // canonicalize (fingerprinting), rewrite (cache lookup or PACB search),
 // bind (plan bind + open, including retries), execute (open → first
-// row), drain (first row → close).
+// row), drain (first row → close). A text query served by the shape
+// cache records its scan, lookup and argument build as parse and 0 as
+// canonicalize.
 const (
 	phaseParse = iota
 	phaseCanonicalize
@@ -70,6 +72,13 @@ func newSvcObs(reg *obs.Registry, s *Service) *svcObs {
 			emit([]string{"coalesced"}, float64(m.coalesced.Load()))
 			emit([]string{"miss"}, float64(m.misses.Load()))
 		})
+	reg.CounterFunc("estocada_shape_cache_events_total",
+		"Text-query shape-cache outcomes: hit (parse and canonicalize skipped), miss (parsed, shape learned), decline (parsed, shape not cacheable).", []string{"event"},
+		func(emit func([]string, float64)) {
+			emit([]string{"hit"}, float64(m.shapeHits.Load()))
+			emit([]string{"miss"}, float64(m.shapeMisses.Load()))
+			emit([]string{"decline"}, float64(m.shapeDeclines.Load()))
+		})
 	reg.CounterFunc("estocada_query_failures_total",
 		"Failed queries by kind (timeouts are also counted as errors).", []string{"kind"},
 		func(emit func([]string, float64)) {
@@ -97,6 +106,9 @@ func newSvcObs(reg *obs.Registry, s *Service) *svcObs {
 	reg.GaugeFunc("estocada_cache_entries",
 		"Rewriting-cache entries resident.", nil,
 		func(emit func([]string, float64)) { emit(nil, float64(s.cache.len())) })
+	reg.GaugeFunc("estocada_shape_cache_entries",
+		"Text-query shapes resident in the shape cache.", nil,
+		func(emit func([]string, float64)) { emit(nil, float64(s.shapes.len())) })
 	reg.GaugeFunc("estocada_sessions",
 		"Registered sessions.", nil,
 		func(emit func([]string, float64)) {
@@ -234,7 +246,8 @@ func (s *Service) Registry() *obs.Registry {
 //	  "service":  {"queries":…, "cacheHits":…, "coalesced":…, "cacheMisses":…,
 //	               "errors":…, "timeouts":…, "inFlight":…, "rowsServed":…,
 //	               "writes":…, "rowsWritten":…, "retries":…, "breakerFastFails":…,
-//	               "cacheEntries":…, "sessions":…, "statements":…},
+//	               "shapeHits":…, "shapeMisses":…, "shapeDeclines":…,
+//	               "cacheEntries":…, "shapeEntries":…, "sessions":…, "statements":…},
 //	  "stores":   {"<store>": {"requests":…, "scans":…, "lookups":…, "tuples":…}, …},
 //	  "breakers": {"<store>": {"consecutiveFailures":…, "open":…, "trips":…}, …},
 //	  "catalogEpoch": …,

@@ -76,7 +76,9 @@ type Service struct {
 	sys   *core.System
 	opts  Options
 	cache *planCache
-	sem   chan struct{}
+	// shapes sends text queries of a known shape past the parsers.
+	shapes *shapeCache
+	sem    chan struct{}
 
 	// prepare runs the cold path (PACB rewriting via core.Prepare).
 	// Overridable in tests to count or stub rewrites.
@@ -121,6 +123,10 @@ type Metrics struct {
 
 	retries          atomic.Int64 // execution retries after transient store faults
 	breakerFastFails atomic.Int64 // queries failed fast on an open breaker
+
+	shapeHits     atomic.Int64 // text queries served from the shape cache
+	shapeMisses   atomic.Int64 // text queries parsed whose shape was then learned
+	shapeDeclines atomic.Int64 // text queries parsed whose shape was not learned
 }
 
 // MetricsSnapshot is a point-in-time copy of the service metrics.
@@ -137,7 +143,11 @@ type MetricsSnapshot struct {
 	RowsWritten      int64 `json:"rowsWritten"`
 	Retries          int64 `json:"retries"`
 	BreakerFastFails int64 `json:"breakerFastFails"`
+	ShapeHits        int64 `json:"shapeHits"`
+	ShapeMisses      int64 `json:"shapeMisses"`
+	ShapeDeclines    int64 `json:"shapeDeclines"`
 	CacheEntries     int   `json:"cacheEntries"`
+	ShapeEntries     int   `json:"shapeEntries"`
 	Sessions         int   `json:"sessions"`
 	Statements       int   `json:"statements"`
 }
@@ -172,6 +182,7 @@ func New(sys *core.System, opts Options) *Service {
 		sys:      sys,
 		opts:     opts,
 		cache:    newPlanCache(opts.CacheShards),
+		shapes:   newShapeCache(),
 		sem:      make(chan struct{}, opts.MaxInFlight),
 		sessions: map[uint64]*Session{},
 		stmts:    map[uint64]*Stmt{},
@@ -226,7 +237,11 @@ func (s *Service) Snapshot() MetricsSnapshot {
 		RowsWritten:      s.metrics.rowsWritten.Load(),
 		Retries:          s.metrics.retries.Load(),
 		BreakerFastFails: s.metrics.breakerFastFails.Load(),
+		ShapeHits:        s.metrics.shapeHits.Load(),
+		ShapeMisses:      s.metrics.shapeMisses.Load(),
+		ShapeDeclines:    s.metrics.shapeDeclines.Load(),
 		CacheEntries:     s.cache.len(),
+		ShapeEntries:     s.shapes.len(),
 		Sessions:         nSess,
 		Statements:       nStmt,
 	}
@@ -295,16 +310,28 @@ func (s *Service) QueryText(ctx context.Context, language, text string) (*Result
 	return r.Materialize()
 }
 
-// QueryTextRows is QueryText's cursor-returning variant.
+// QueryTextRows is QueryText's cursor-returning variant. A text whose
+// shape the service has seen before skips parsing and canonicalization
+// (see shapes.go).
 func (s *Service) QueryTextRows(ctx context.Context, language, text string) (*Rows, error) {
-	t0 := time.Now()
-	q, err := s.parseText(language, text)
+	return s.queryText(ctx, nil, language, text)
+}
+
+// queryText is the one entry point of text queries, with or without a
+// session: the shape cache or the parsers give the fingerprint, then the
+// shared pipeline opens the cursor. A text that fails to parse is not
+// counted as a query.
+func (s *Service) queryText(ctx context.Context, sess *Session, language, text string) (*Rows, error) {
+	fp, args, parse, canon, err := s.textFingerprint(language, text)
 	if err != nil {
 		return nil, err
 	}
-	parse := time.Since(t0)
+	if sess != nil {
+		sess.queries.Add(1)
+		sess.lastUse.Store(time.Now().UnixNano())
+	}
 	s.metrics.queries.Add(1)
-	return s.canonOpen(ctx, nil, q, parse)
+	return s.openRows(ctx, sess, fp, args, parse, canon)
 }
 
 // parseText parses one of the surface languages into a conjunctive
@@ -330,7 +357,7 @@ func (s *Service) parseText(language, text string) (pivot.CQ, error) {
 		return pivot.CQ{}, fmt.Errorf("%w: %q", ErrUnknownLanguage, language)
 	}
 	if err != nil {
-		return pivot.CQ{}, fmt.Errorf("%w: %v", ErrParse, err)
+		return pivot.CQ{}, fmt.Errorf("%w: %w", ErrParse, err)
 	}
 	return q, nil
 }

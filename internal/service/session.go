@@ -90,12 +90,20 @@ func (sess *Session) Stats() SessionStats {
 
 // Query answers a conjunctive query on behalf of this session.
 func (sess *Session) Query(ctx context.Context, q pivot.CQ) (*Result, error) {
-	return sess.record(sess.svc.Query(ctx, q))
+	r, err := sess.QueryRows(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	return r.Materialize()
 }
 
 // QueryText answers a surface-language query on behalf of this session.
 func (sess *Session) QueryText(ctx context.Context, language, text string) (*Result, error) {
-	return sess.record(sess.svc.QueryText(ctx, language, text))
+	r, err := sess.QueryTextRows(ctx, language, text)
+	if err != nil {
+		return nil, err
+	}
+	return r.Materialize()
 }
 
 // QueryRows answers a conjunctive query as a streaming cursor on behalf
@@ -108,31 +116,8 @@ func (sess *Session) QueryRows(ctx context.Context, q pivot.CQ) (*Rows, error) {
 	return sess.svc.canonOpen(ctx, sess, q, 0)
 }
 
-// QueryTextRows parses a surface-language query and answers it as a
-// streaming cursor on behalf of this session.
+// QueryTextRows answers a surface-language query as a streaming cursor on
+// behalf of this session (see Service.QueryTextRows).
 func (sess *Session) QueryTextRows(ctx context.Context, language, text string) (*Rows, error) {
-	t0 := time.Now()
-	q, err := sess.svc.parseText(language, text)
-	if err != nil {
-		return nil, err
-	}
-	parse := time.Since(t0)
-	sess.queries.Add(1)
-	sess.lastUse.Store(time.Now().UnixNano())
-	sess.svc.metrics.queries.Add(1)
-	return sess.svc.canonOpen(ctx, sess, q, parse)
-}
-
-func (sess *Session) record(res *Result, err error) (*Result, error) {
-	sess.queries.Add(1)
-	sess.lastUse.Store(time.Now().UnixNano())
-	if err != nil {
-		sess.errors.Add(1)
-		return nil, err
-	}
-	if res.CacheHit {
-		sess.hits.Add(1)
-	}
-	sess.rows.Add(int64(len(res.Rows)))
-	return res, nil
+	return sess.svc.queryText(ctx, sess, language, text)
 }
