@@ -73,7 +73,9 @@ type Layout struct {
 	TextField string
 }
 
-// Validate checks internal consistency against the view arity.
+// Validate checks internal consistency against the view arity. It is the
+// one place a layout's fields are checked; whether the target store holds
+// the layout's kind is checked where the fragment is bound to its store.
 func (l Layout) Validate(arity int) error {
 	if l.Collection == "" {
 		return fmt.Errorf("catalog: layout without collection name")
@@ -84,6 +86,9 @@ func (l Layout) Validate(arity int) error {
 			return fmt.Errorf("catalog: %s layout names %d columns for arity %d",
 				l.Kind, len(l.Columns), arity)
 		}
+		if l.Kind == LayoutPar && (l.PartitionCol < 0 || l.PartitionCol >= arity) {
+			return fmt.Errorf("catalog: partition column %d out of range (arity %d)", l.PartitionCol, arity)
+		}
 	case LayoutKV:
 		if l.KeyCol < 0 || l.KeyCol >= arity {
 			return fmt.Errorf("catalog: KV key column %d out of range (arity %d)", l.KeyCol, arity)
@@ -93,6 +98,13 @@ func (l Layout) Validate(arity int) error {
 			return fmt.Errorf("catalog: doc layout names %d paths for arity %d",
 				len(l.DocPaths), arity)
 		}
+		for i, p := range l.DocPaths {
+			if p == "" {
+				return fmt.Errorf("catalog: empty document path at column %d", i)
+			}
+		}
+	default:
+		return fmt.Errorf("catalog: unknown layout kind %s", l.Kind)
 	}
 	for _, c := range l.IndexCols {
 		if c < 0 || c >= arity {

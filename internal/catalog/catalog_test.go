@@ -72,6 +72,23 @@ func TestLayoutValidatePerKind(t *testing.T) {
 	if err := (Layout{Kind: LayoutDoc, Collection: "c", DocPaths: []string{"a"}}).Validate(2); err == nil {
 		t.Error("doc path count mismatch accepted")
 	}
+	if err := (Layout{Kind: LayoutDoc, Collection: "c", DocPaths: []string{"a", ""}}).Validate(2); err == nil {
+		t.Error("empty doc path accepted")
+	}
+	// A partition column past the arity used to register and then panic
+	// when the container was created.
+	for _, pc := range []int{-1, 2, 7} {
+		l := Layout{Kind: LayoutPar, Collection: "t", Columns: []string{"a", "b"}, PartitionCol: pc}
+		if err := l.Validate(2); err == nil {
+			t.Errorf("partition column %d accepted for arity 2", pc)
+		}
+	}
+	if err := (Layout{Kind: LayoutPar, Collection: "t", Columns: []string{"a", "b"}, PartitionCol: 1}).Validate(2); err != nil {
+		t.Error(err)
+	}
+	if err := (Layout{Kind: LayoutKind(42), Collection: "t"}).Validate(1); err == nil {
+		t.Error("unknown layout kind accepted")
+	}
 }
 
 func TestDropAndAll(t *testing.T) {

@@ -206,11 +206,14 @@ func (s *System) SchemaConstraints() pivot.Constraints {
 	return s.schema
 }
 
-// RegisterFragment validates the fragment against its target store and
-// records its storage descriptor.
+// RegisterFragment binds the fragment to its container in its target
+// store and records its storage descriptor. A store that is not
+// registered, or that does not hold the layout's kind, is refused before
+// the catalog changes (translate.ErrUnknownStore,
+// translate.ErrLayoutMismatch).
 func (s *System) RegisterFragment(f *catalog.Fragment) error {
-	if _, ok := s.Stores.Engine(f.Store); !ok {
-		return fmt.Errorf("estocada: fragment %q targets unknown store %q", f.Name, f.Store)
+	if _, err := s.Stores.Container(f); err != nil {
+		return fmt.Errorf("estocada: %w", err)
 	}
 	if err := s.Catalog.Register(f); err != nil {
 		return err
@@ -221,37 +224,28 @@ func (s *System) RegisterFragment(f *catalog.Fragment) error {
 
 // DropFragment removes a fragment's descriptor and its physical container.
 func (s *System) DropFragment(name string) error {
-	f, ok := s.Catalog.Get(name)
-	if !ok {
-		return fmt.Errorf("estocada: no fragment %q", name)
+	_, c, err := s.container(name)
+	if err != nil {
+		return err
 	}
 	if err := s.Catalog.Drop(name); err != nil {
 		return err
 	}
 	s.bumpCatalogEpoch()
-	switch f.Layout.Kind {
-	case catalog.LayoutRel:
-		if st, ok := s.Stores.Rel[f.Store]; ok {
-			return st.DropTable(f.Layout.Collection)
-		}
-	case catalog.LayoutKV:
-		if st, ok := s.Stores.KV[f.Store]; ok {
-			return st.DropCollection(f.Layout.Collection)
-		}
-	case catalog.LayoutDoc:
-		if st, ok := s.Stores.Doc[f.Store]; ok {
-			return st.DropCollection(f.Layout.Collection)
-		}
-	case catalog.LayoutText:
-		if st, ok := s.Stores.Text[f.Store]; ok {
-			return st.DropCollection(f.Layout.Collection)
-		}
-	case catalog.LayoutPar:
-		if st, ok := s.Stores.Par[f.Store]; ok {
-			return st.DropTable(f.Layout.Collection)
-		}
+	return c.Drop()
+}
+
+// container resolves a registered fragment and its container.
+func (s *System) container(name string) (*catalog.Fragment, *translate.Container, error) {
+	f, ok := s.Catalog.Get(name)
+	if !ok {
+		return nil, nil, fmt.Errorf("estocada: no fragment %q", name)
 	}
-	return nil
+	c, err := s.Stores.Container(f)
+	if err != nil {
+		return nil, nil, fmt.Errorf("estocada: %w", err)
+	}
+	return f, c, nil
 }
 
 // bumpCatalogEpoch marks a catalog change. Mutate-then-bump, as in
@@ -267,17 +261,17 @@ func (s *System) CacheEpoch() uint64 { return s.epoch.Load() }
 // needed) and loads the given view tuples, then records fresh statistics.
 // The rows must match the fragment view's head arity.
 func (s *System) Materialize(name string, rows []value.Tuple) error {
-	f, ok := s.Catalog.Get(name)
-	if !ok {
-		return fmt.Errorf("estocada: no fragment %q", name)
+	f, c, err := s.container(name)
+	if err != nil {
+		return err
 	}
-	arity := f.View.Def.Head.Arity()
-	for _, r := range rows {
-		if len(r) != arity {
-			return fmt.Errorf("estocada: fragment %q expects arity %d, got row of %d", name, arity, len(r))
-		}
+	if err := checkArity(f, rows); err != nil {
+		return err
 	}
-	if err := s.load(f, rows); err != nil {
+	if err := c.Ensure(); err != nil {
+		return err
+	}
+	if err := c.Apply(rows, nil); err != nil {
 		return err
 	}
 	if err := s.Catalog.SetStats(name, stats.Collect(rows)); err != nil {
@@ -286,181 +280,6 @@ func (s *System) Materialize(name string, rows []value.Tuple) error {
 	// Fresh statistics can change the cost-based plan choice.
 	s.bumpCatalogEpoch()
 	return nil
-}
-
-func (s *System) load(f *catalog.Fragment, rows []value.Tuple) error {
-	switch f.Layout.Kind {
-	case catalog.LayoutRel:
-		st, ok := s.Stores.Rel[f.Store]
-		if !ok {
-			return fmt.Errorf("estocada: no relational store %q", f.Store)
-		}
-		if _, err := st.Table(f.Layout.Collection); err != nil {
-			if _, err := st.CreateTable(f.Layout.Collection, f.Layout.Columns...); err != nil {
-				return err
-			}
-		}
-		if err := st.InsertMany(f.Layout.Collection, rows); err != nil {
-			return err
-		}
-		for _, c := range f.Layout.IndexCols {
-			if err := st.CreateIndex(f.Layout.Collection, f.Layout.Columns[c]); err != nil {
-				return err
-			}
-		}
-		return nil
-
-	case catalog.LayoutPar:
-		st, ok := s.Stores.Par[f.Store]
-		if !ok {
-			return fmt.Errorf("estocada: no parallel store %q", f.Store)
-		}
-		if _, err := st.Table(f.Layout.Collection); err != nil {
-			pcol := f.Layout.Columns[f.Layout.PartitionCol]
-			if _, err := st.CreateTable(f.Layout.Collection, pcol, f.Layout.Columns...); err != nil {
-				return err
-			}
-		}
-		if err := st.InsertMany(f.Layout.Collection, rows); err != nil {
-			return err
-		}
-		for _, c := range f.Layout.IndexCols {
-			if err := st.CreateIndex(f.Layout.Collection, f.Layout.Columns[c]); err != nil {
-				return err
-			}
-		}
-		return nil
-
-	case catalog.LayoutKV:
-		st, ok := s.Stores.KV[f.Store]
-		if !ok {
-			return fmt.Errorf("estocada: no key-value store %q", f.Store)
-		}
-		if err := st.CreateCollection(f.Layout.Collection); err != nil {
-			// Idempotent: collection may already exist.
-			if _, lerr := st.Len(f.Layout.Collection); lerr != nil {
-				return err
-			}
-		}
-		for _, r := range rows {
-			if err := st.Append(f.Layout.Collection, translate.KVKey(r[f.Layout.KeyCol]), r); err != nil {
-				return err
-			}
-		}
-		return nil
-
-	case catalog.LayoutDoc:
-		st, ok := s.Stores.Doc[f.Store]
-		if !ok {
-			return fmt.Errorf("estocada: no document store %q", f.Store)
-		}
-		if err := st.CreateCollection(f.Layout.Collection); err != nil {
-			if _, lerr := st.Len(f.Layout.Collection); lerr != nil {
-				return err
-			}
-		}
-		for _, r := range rows {
-			d, err := docFromPaths(f.Layout.DocPaths, r)
-			if err != nil {
-				return err
-			}
-			if err := st.Insert(f.Layout.Collection, d); err != nil {
-				return err
-			}
-		}
-		for _, c := range f.Layout.IndexCols {
-			if err := st.CreateIndex(f.Layout.Collection, f.Layout.DocPaths[c]); err != nil {
-				return err
-			}
-		}
-		return nil
-
-	case catalog.LayoutText:
-		st, ok := s.Stores.Text[f.Store]
-		if !ok {
-			return fmt.Errorf("estocada: no full-text store %q", f.Store)
-		}
-		if err := st.CreateCollection(f.Layout.Collection, f.Layout.TextField); err != nil {
-			if _, lerr := st.Len(f.Layout.Collection); lerr != nil {
-				return err
-			}
-		}
-		for _, r := range rows {
-			doc := map[string]value.Value{}
-			for i, col := range f.Layout.Columns {
-				doc[col] = r[i]
-			}
-			if err := st.Index(f.Layout.Collection, doc); err != nil {
-				return err
-			}
-		}
-		return nil
-
-	default:
-		return fmt.Errorf("estocada: unsupported layout %v", f.Layout.Kind)
-	}
-}
-
-// docFromPaths builds one document with each dotted path set to the
-// corresponding tuple value.
-func docFromPaths(paths []string, row value.Tuple) (*value.Doc, error) {
-	root := &value.Doc{DKind: value.DocObject}
-	for i, p := range paths {
-		if p == "" {
-			return nil, fmt.Errorf("estocada: empty document path at column %d", i)
-		}
-		if err := setPath(root, p, row[i]); err != nil {
-			return nil, err
-		}
-	}
-	return root, nil
-}
-
-func setPath(d *value.Doc, path string, v value.Value) error {
-	segs := splitDots(path)
-	cur := d
-	for i, seg := range segs {
-		if cur.DKind != value.DocObject {
-			return fmt.Errorf("estocada: path %q collides with scalar", path)
-		}
-		if i == len(segs)-1 {
-			insertField(cur, seg, value.DScalar(v))
-			return nil
-		}
-		next, ok := cur.Get(seg)
-		if !ok {
-			next = &value.Doc{DKind: value.DocObject}
-			insertField(cur, seg, next)
-		}
-		cur = next
-	}
-	return nil
-}
-
-func insertField(d *value.Doc, name string, v *value.Doc) {
-	for i := range d.Fields {
-		if d.Fields[i].Name == name {
-			d.Fields[i].Val = v
-			return
-		}
-	}
-	d.Fields = append(d.Fields, value.Field{Name: name, Val: v})
-	// Keep fields sorted (value.Doc invariant for Get's binary search).
-	for i := len(d.Fields) - 1; i > 0 && d.Fields[i-1].Name > d.Fields[i].Name; i-- {
-		d.Fields[i-1], d.Fields[i] = d.Fields[i], d.Fields[i-1]
-	}
-}
-
-func splitDots(p string) []string {
-	var segs []string
-	start := 0
-	for i := 0; i <= len(p); i++ {
-		if i == len(p) || p[i] == '.' {
-			segs = append(segs, p[start:i])
-			start = i + 1
-		}
-	}
-	return segs
 }
 
 // Report describes how a query was answered — what the demo shows in steps

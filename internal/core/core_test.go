@@ -10,6 +10,7 @@ import (
 	"repro/internal/pivot"
 	"repro/internal/rewrite"
 	"repro/internal/stats"
+	"repro/internal/translate"
 	"repro/internal/value"
 )
 
@@ -337,8 +338,31 @@ func TestRegisterFragmentUnknownStore(t *testing.T) {
 		Store:  "nowhere",
 		Layout: catalog.Layout{Kind: catalog.LayoutRel, Collection: "r", Columns: []string{"a"}},
 	}
-	if err := s.RegisterFragment(f); err == nil {
-		t.Error("unknown store accepted")
+	if err := s.RegisterFragment(f); !errors.Is(err, translate.ErrUnknownStore) {
+		t.Errorf("unknown store: err = %v, want translate.ErrUnknownStore", err)
+	}
+}
+
+// A layout its store cannot hold is refused at registration, before the
+// catalog or its epoch moves: accepting it left a fragment that no write
+// could fill and every plan over it failed at open.
+func TestRegisterFragmentRefusesLayoutTheStoreCannotHold(t *testing.T) {
+	s := testSystem(t)
+	epoch := s.CacheEpoch()
+	f := &catalog.Fragment{
+		Name: "FPrefsOnPg", Dataset: "mkt", View: identityView("FPrefsOnPg", "Prefs", 3),
+		Store:  "pg",
+		Layout: catalog.Layout{Kind: catalog.LayoutKV, Collection: "prefs2", KeyCol: 0},
+		Access: "bff",
+	}
+	if err := s.RegisterFragment(f); !errors.Is(err, translate.ErrLayoutMismatch) {
+		t.Fatalf("key-value layout on a relational store: err = %v, want translate.ErrLayoutMismatch", err)
+	}
+	if _, ok := s.Catalog.Get("FPrefsOnPg"); ok {
+		t.Error("refused fragment is registered")
+	}
+	if got := s.CacheEpoch(); got != epoch {
+		t.Errorf("refused registration moved the catalog epoch %d -> %d", epoch, got)
 	}
 }
 

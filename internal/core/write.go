@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/stats"
-	"repro/internal/translate"
 	"repro/internal/value"
 )
 
@@ -97,166 +96,38 @@ func (s *System) DataEpoch() uint64 { return s.dataEpoch.Load() }
 
 // ApplyFragmentDelta applies a computed maintenance delta to a fragment's
 // physical container through the owning store's native write API: adds are
-// inserted, dels removed tuple-by-tuple. It deliberately does NOT
-// invalidate the plan cache or bump the catalog epoch — the fragment set
-// and plan shapes are unchanged — and instead advances the data epoch.
-// Rows must match the fragment's head arity; a delete that finds no
-// matching stored tuple reports drift between the maintenance layer's
-// count table and the store.
+// inserted, dels removed. It deliberately does NOT invalidate the plan
+// cache or bump the catalog epoch — the fragment set and plan shapes are
+// unchanged — and instead advances the data epoch. Rows must match the
+// fragment's head arity; a delete that finds no matching stored tuple
+// reports drift between the maintenance layer's count table and the store
+// (translate.ErrDrift).
 func (s *System) ApplyFragmentDelta(name string, adds, dels []value.Tuple) error {
-	f, ok := s.Catalog.Get(name)
-	if !ok {
-		return fmt.Errorf("estocada: no fragment %q", name)
+	f, c, err := s.container(name)
+	if err != nil {
+		return err
 	}
-	arity := f.View.Def.Head.Arity()
-	for _, r := range adds {
-		if len(r) != arity {
-			return fmt.Errorf("%w: fragment %q expects arity %d, got add of %d", ErrBadWrite, name, arity, len(r))
-		}
+	if err := checkArity(f, adds, dels); err != nil {
+		return err
 	}
-	for _, r := range dels {
-		if len(r) != arity {
-			return fmt.Errorf("%w: fragment %q expects arity %d, got delete of %d", ErrBadWrite, name, arity, len(r))
-		}
-	}
-	if err := s.applyDelta(f, adds, dels); err != nil {
+	if err := c.Apply(adds, dels); err != nil {
 		return err
 	}
 	s.dataEpoch.Add(1)
 	return nil
 }
 
-func (s *System) applyDelta(f *catalog.Fragment, adds, dels []value.Tuple) error {
-	switch f.Layout.Kind {
-	case catalog.LayoutRel:
-		st, ok := s.Stores.Rel[f.Store]
-		if !ok {
-			return fmt.Errorf("estocada: no relational store %q", f.Store)
-		}
-		if err := st.InsertMany(f.Layout.Collection, adds); err != nil {
-			return err
-		}
-		// Batched delete: one copy-on-write pass and one index rebuild for
-		// the whole delta. The maintainer keeps stored tuples distinct, so
-		// fewer removals than requested tuples means drift.
-		n, err := st.DeleteMany(f.Layout.Collection, dels)
-		if err != nil {
-			return err
-		}
-		if n < len(dels) {
-			return driftErrN(f.Name, len(dels), n)
-		}
-		return nil
-
-	case catalog.LayoutPar:
-		st, ok := s.Stores.Par[f.Store]
-		if !ok {
-			return fmt.Errorf("estocada: no parallel store %q", f.Store)
-		}
-		if err := st.InsertMany(f.Layout.Collection, adds); err != nil {
-			return err
-		}
-		n, err := st.DeleteMany(f.Layout.Collection, dels)
-		if err != nil {
-			return err
-		}
-		if n < len(dels) {
-			return driftErrN(f.Name, len(dels), n)
-		}
-		return nil
-
-	case catalog.LayoutKV:
-		st, ok := s.Stores.KV[f.Store]
-		if !ok {
-			return fmt.Errorf("estocada: no key-value store %q", f.Store)
-		}
-		for _, r := range adds {
-			if err := st.Append(f.Layout.Collection, translate.KVKey(r[f.Layout.KeyCol]), r); err != nil {
-				return err
+// checkArity refuses rows that do not match the fragment's head arity.
+func checkArity(f *catalog.Fragment, batches ...[]value.Tuple) error {
+	arity := f.View.Def.Head.Arity()
+	for _, rows := range batches {
+		for _, r := range rows {
+			if len(r) != arity {
+				return fmt.Errorf("%w: fragment %q expects arity %d, got row of %d", ErrBadWrite, f.Name, arity, len(r))
 			}
 		}
-		for _, r := range dels {
-			n, err := st.DeleteTuple(f.Layout.Collection, translate.KVKey(r[f.Layout.KeyCol]), r)
-			if err != nil {
-				return err
-			}
-			if n == 0 {
-				return driftErr(f.Name, r)
-			}
-		}
-		return nil
-
-	case catalog.LayoutDoc:
-		st, ok := s.Stores.Doc[f.Store]
-		if !ok {
-			return fmt.Errorf("estocada: no document store %q", f.Store)
-		}
-		for _, r := range adds {
-			d, err := docFromPaths(f.Layout.DocPaths, r)
-			if err != nil {
-				return err
-			}
-			if err := st.Insert(f.Layout.Collection, d); err != nil {
-				return err
-			}
-		}
-		// Batched delete: one collection pass and one index rebuild for
-		// the whole delta (per-tuple Delete would rescan per tuple).
-		n, err := st.DeleteTuples(f.Layout.Collection, f.Layout.DocPaths, dels)
-		if err != nil {
-			return err
-		}
-		if n < len(dels) {
-			return driftErrN(f.Name, len(dels), n)
-		}
-		return nil
-
-	case catalog.LayoutText:
-		st, ok := s.Stores.Text[f.Store]
-		if !ok {
-			return fmt.Errorf("estocada: no full-text store %q", f.Store)
-		}
-		for _, r := range adds {
-			doc := make(map[string]value.Value, len(f.Layout.Columns))
-			for i, col := range f.Layout.Columns {
-				doc[col] = r[i]
-			}
-			if err := st.Insert(f.Layout.Collection, doc); err != nil {
-				return err
-			}
-		}
-		// Batched delete: one collection pass and one posting/index
-		// rebuild for the whole delta.
-		if len(dels) > 0 {
-			criteria := make([]map[string]value.Value, len(dels))
-			for di, r := range dels {
-				doc := make(map[string]value.Value, len(f.Layout.Columns))
-				for i, col := range f.Layout.Columns {
-					doc[col] = r[i]
-				}
-				criteria[di] = doc
-			}
-			n, err := st.DeleteMany(f.Layout.Collection, criteria)
-			if err != nil {
-				return err
-			}
-			if n < len(dels) {
-				return driftErrN(f.Name, len(dels), n)
-			}
-		}
-		return nil
-
-	default:
-		return fmt.Errorf("estocada: unsupported layout %v", f.Layout.Kind)
 	}
-}
-
-func driftErr(frag string, r value.Tuple) error {
-	return fmt.Errorf("estocada: fragment %q drift: delete of %s found no stored tuple", frag, r)
-}
-
-func driftErrN(frag string, want, got int) error {
-	return fmt.Errorf("estocada: fragment %q drift: delta deleted %d stored tuples, expected %d", frag, got, want)
+	return nil
 }
 
 // ReloadFragment makes a fragment's physical contents equal the given
@@ -269,20 +140,17 @@ func driftErrN(frag string, want, got int) error {
 // recovery path when drift is detected). Like ApplyFragmentDelta it is a
 // data-only change: the data epoch advances, the catalog epoch does not.
 func (s *System) ReloadFragment(name string, rows []value.Tuple) error {
-	f, ok := s.Catalog.Get(name)
-	if !ok {
-		return fmt.Errorf("estocada: no fragment %q", name)
-	}
-	arity := f.View.Def.Head.Arity()
-	for _, r := range rows {
-		if len(r) != arity {
-			return fmt.Errorf("%w: fragment %q expects arity %d, got row of %d", ErrBadWrite, name, arity, len(r))
-		}
-	}
-	if err := s.load(f, nil); err != nil {
+	f, c, err := s.container(name)
+	if err != nil {
 		return err
 	}
-	cur, err := s.fragmentExtent(f)
+	if err := checkArity(f, rows); err != nil {
+		return err
+	}
+	if err := c.Ensure(); err != nil {
+		return err
+	}
+	cur, err := c.Extent()
 	if err != nil {
 		return err
 	}
@@ -309,7 +177,7 @@ func (s *System) ReloadFragment(name string, rows []value.Tuple) error {
 			adds = append(adds, r)
 		}
 	}
-	if err := s.applyDelta(f, adds, dels); err != nil {
+	if err := c.Apply(adds, dels); err != nil {
 		return err
 	}
 	if err := s.Catalog.SetStats(name, stats.Collect(rows)); err != nil {
@@ -325,9 +193,36 @@ func (s *System) ReloadFragment(name string, rows []value.Tuple) error {
 // key-value fragment is enumerated via the store's maintenance dump).
 // Column order is the view's head order.
 func (s *System) FragmentRows(name string) ([]value.Tuple, error) {
-	f, ok := s.Catalog.Get(name)
-	if !ok {
-		return nil, fmt.Errorf("estocada: no fragment %q", name)
+	_, c, err := s.container(name)
+	if err != nil {
+		return nil, err
 	}
-	return s.fragmentExtent(f)
+	return c.Extent()
+}
+
+// RefreshStats re-collects a fragment's statistics by reading its extent
+// from its store (an administrative operation — a key-value fragment is
+// enumerated via the store's maintenance dump, the way a production
+// system would run ANALYZE during quiet hours). The catalog epoch is
+// bumped so cached plans re-cost.
+func (s *System) RefreshStats(name string) error {
+	rows, err := s.FragmentRows(name)
+	if err != nil {
+		return err
+	}
+	if err := s.Catalog.SetStats(name, stats.Collect(rows)); err != nil {
+		return err
+	}
+	s.bumpCatalogEpoch()
+	return nil
+}
+
+// RefreshAllStats refreshes every registered fragment.
+func (s *System) RefreshAllStats() error {
+	for _, f := range s.Catalog.All() {
+		if err := s.RefreshStats(f.Name); err != nil {
+			return err
+		}
+	}
+	return nil
 }

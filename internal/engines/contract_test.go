@@ -1,6 +1,7 @@
 // Package engines_test holds the store contract: the checks every read of
 // every substrate must pass, written once over a table of reads instead of
-// once per store.
+// once per store, and the checks every fragment container must pass,
+// written once over a table of the five layouts.
 package engines_test
 
 import (
@@ -8,15 +9,21 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/engines/docstore"
 	"repro/internal/engines/engine"
 	"repro/internal/engines/kvstore"
 	"repro/internal/engines/parstore"
 	"repro/internal/engines/relstore"
 	"repro/internal/engines/textstore"
+	"repro/internal/pivot"
+	"repro/internal/rewrite"
+	"repro/internal/translate"
 	"repro/internal/value"
 )
 
@@ -145,7 +152,7 @@ var reads = []struct {
 		s := textstore.New("solr")
 		must(t, s.CreateCollection("products", "description"))
 		for i := 0; i < 300; i++ {
-			must(t, s.Index("products", map[string]value.Value{
+			must(t, s.Insert("products", map[string]value.Value{
 				"pid": value.Int(i), "description": value.Str("wireless headphones")}))
 		}
 		return s, func(ctx context.Context, extra *engine.Counters) (engine.BatchIterator, error) {
@@ -275,3 +282,173 @@ func must(t *testing.T, err error) {
 
 // create adapts CreateTable's (table, error) result to must.
 func create(_ any, err error) error { return err }
+
+// layouts lists one fragment layout per kind over the same view
+// V(k, a, b). The document layout nests two columns under one object. The
+// tables index and partition a column other than the filtered one, so
+// their filtered reads are scans.
+var layouts = []struct {
+	store  string
+	layout catalog.Layout
+}{
+	{"pg", catalog.Layout{Kind: catalog.LayoutRel, Collection: "v", Columns: []string{"k", "a", "b"}, IndexCols: []int{1}}},
+	{"spark", catalog.Layout{Kind: catalog.LayoutPar, Collection: "v", Columns: []string{"k", "a", "b"}, PartitionCol: 1, IndexCols: []int{1}}},
+	{"redis", catalog.Layout{Kind: catalog.LayoutKV, Collection: "v", KeyCol: 0}},
+	{"mongo", catalog.Layout{Kind: catalog.LayoutDoc, Collection: "v", DocPaths: []string{"k", "x.a", "x.b"}, IndexCols: []int{0}}},
+	{"solr", catalog.Layout{Kind: catalog.LayoutText, Collection: "v", Columns: []string{"k", "a", "b"}, TextField: "b"}},
+}
+
+// newContainer binds a fresh V fragment with the given layout, on a
+// store of its own.
+func newContainer(t *testing.T, store string, l catalog.Layout) *translate.Container {
+	t.Helper()
+	st := translate.NewStores()
+	st.AddRel(relstore.New("pg"))
+	st.AddPar(parstore.New("spark", 4))
+	st.AddKV(kvstore.New("redis"))
+	st.AddDoc(docstore.New("mongo"))
+	st.AddText(textstore.New("solr"))
+	args := []pivot.Term{pivot.Var("k"), pivot.Var("a"), pivot.Var("b")}
+	f := &catalog.Fragment{
+		Name: "V", Dataset: "d", Store: store, Layout: l,
+		View: rewrite.NewView("V", pivot.NewCQ(pivot.NewAtom("V", args...), pivot.NewAtom("R", args...))),
+	}
+	if err := f.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := st.Container(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// vRows returns n distinct V tuples over five keys.
+func vRows(from, n int) []value.Tuple {
+	rows := make([]value.Tuple, n)
+	for i := range rows {
+		j := from + i
+		rows[i] = value.TupleOf(fmt.Sprintf("u%d", j%5), j, fmt.Sprintf("note %d", j))
+	}
+	return rows
+}
+
+func TestContainerContract(t *testing.T) {
+	for _, l := range layouts {
+		t.Run(l.layout.Kind.String(), func(t *testing.T) {
+			t.Run("ensure", func(t *testing.T) { checkEnsure(t, newContainer(t, l.store, l.layout)) })
+			t.Run("round trip", func(t *testing.T) { checkRoundTrip(t, newContainer(t, l.store, l.layout)) })
+			t.Run("drift", func(t *testing.T) { checkDrift(t, newContainer(t, l.store, l.layout)) })
+			t.Run("snapshot", func(t *testing.T) { checkSnapshot(t, newContainer(t, l.store, l.layout)) })
+			t.Run("drop", func(t *testing.T) { checkDrop(t, newContainer(t, l.store, l.layout)) })
+		})
+	}
+}
+
+// checkEnsure: a container is missing until Ensure, and Ensure neither
+// fails nor empties an existing container.
+func checkEnsure(t *testing.T, c *translate.Container) {
+	if _, err := c.Extent(); err == nil {
+		t.Fatal("extent of a container never ensured read no error")
+	}
+	must(t, c.Ensure())
+	must(t, c.Ensure())
+	rows := vRows(0, 12)
+	must(t, c.Apply(rows, nil))
+	must(t, c.Ensure())
+	sameMultiset(t, "extent after a repeated Ensure", extent(t, c), rows)
+}
+
+// checkRoundTrip: what Apply writes, Extent reads back, as a multiset.
+func checkRoundTrip(t *testing.T, c *translate.Container) {
+	must(t, c.Ensure())
+	rows := vRows(0, 20)
+	must(t, c.Apply(rows, nil))
+	sameMultiset(t, "extent after load", extent(t, c), rows)
+	adds, dels := vRows(20, 6), []value.Tuple{rows[0], rows[7], rows[19]}
+	must(t, c.Apply(adds, dels))
+	want := append(slices.Clone(rows[1:7]), rows[8:19]...)
+	sameMultiset(t, "extent after delta", extent(t, c), append(want, adds...))
+}
+
+// checkDrift: deleting a tuple that is not stored is drift, typed.
+func checkDrift(t *testing.T, c *translate.Container) {
+	must(t, c.Ensure())
+	must(t, c.Apply(vRows(0, 5), nil))
+	err := c.Apply(nil, vRows(100, 1))
+	if !errors.Is(err, translate.ErrDrift) {
+		t.Fatalf("delete of an absent tuple: err = %v, want translate.ErrDrift", err)
+	}
+}
+
+// checkSnapshot: a cursor opened before an Apply reads the rows stored at
+// open, while the Apply runs beside it.
+func checkSnapshot(t *testing.T, c *translate.Container) {
+	must(t, c.Ensure())
+	rows := vRows(0, 40)
+	must(t, c.Apply(rows, nil))
+	var before []value.Tuple
+	for _, r := range rows {
+		if value.Equal(r[0], value.Str("u1")) {
+			before = append(before, r)
+		}
+	}
+	if len(before) == 0 {
+		t.Fatal("no stored row has key u1")
+	}
+	it, err := c.Open(context.Background(), []engine.EqFilter{{Col: 0, Val: value.Str("u1")}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if err := c.Apply(vRows(40, 10), before); err != nil {
+			t.Error(err)
+		}
+	}()
+	got, err := engine.DrainBatches(it)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameMultiset(t, "cursor opened before Apply", got, before)
+}
+
+// checkDrop: after Drop, reads fail instead of returning rows.
+func checkDrop(t *testing.T, c *translate.Container) {
+	must(t, c.Ensure())
+	must(t, c.Apply(vRows(0, 5), nil))
+	must(t, c.Drop())
+	if rows, err := c.Extent(); err == nil {
+		t.Errorf("extent after Drop = %d rows, no error", len(rows))
+	}
+	if _, err := c.Open(context.Background(), []engine.EqFilter{{Col: 0, Val: value.Str("u1")}}, nil); err == nil {
+		t.Error("open after Drop read no error")
+	}
+}
+
+func extent(t *testing.T, c *translate.Container) []value.Tuple {
+	t.Helper()
+	rows, err := c.Extent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+func sameMultiset(t *testing.T, what string, got, want []value.Tuple) {
+	t.Helper()
+	keys := func(rows []value.Tuple) []string {
+		out := make([]string, len(rows))
+		for i, r := range rows {
+			out[i] = r.Key()
+		}
+		slices.Sort(out)
+		return out
+	}
+	if g, w := keys(got), keys(want); !slices.Equal(g, w) {
+		t.Errorf("%s: %d rows %v, want %d rows %v", what, len(got), got, len(want), want)
+	}
+}

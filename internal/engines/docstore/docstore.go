@@ -15,22 +15,16 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/engines/engine"
-	"repro/internal/obs"
 	"repro/internal/value"
 )
 
 // Store is one document store instance.
 type Store struct {
-	name     string
-	mu       sync.RWMutex
-	colls    map[string]*collection
-	counters engine.Counters
-	hist     obs.Histogram
-	lat      engine.Latency
-	fault    engine.Fault
+	engine.Base
+	mu    sync.RWMutex
+	colls map[string]*collection
 }
 
 type collection struct {
@@ -41,20 +35,10 @@ type collection struct {
 
 // New creates an empty document store.
 func New(name string) *Store {
-	s := &Store{name: name, colls: map[string]*collection{}}
-	s.fault.Bind(name)
+	s := &Store{colls: map[string]*collection{}}
+	s.Init(name)
 	return s
 }
-
-// SetRequestLatency configures the simulated per-request service time.
-func (s *Store) SetRequestLatency(d time.Duration) { s.lat.Set(d) }
-
-// RequestLatency reports the store's configured per-request latency model
-// (the planner reads it to scale per-store access costs).
-func (s *Store) RequestLatency() time.Duration { return s.lat.Get() }
-
-// Name implements engine.Engine.
-func (s *Store) Name() string { return s.name }
 
 // Kind implements engine.Engine.
 func (s *Store) Kind() string { return "document" }
@@ -66,29 +50,12 @@ func (s *Store) Capabilities() engine.Capability {
 		engine.CapProject | engine.CapNested
 }
 
-// Counters implements engine.Engine.
-func (s *Store) Counters() *engine.Counters { return &s.counters }
-
-// LatencyHistogram is the store's per-request latency histogram,
-// recorded next to the counters: the translate layer observes one
-// sample per delegated request (issue to stream end) into it, and the
-// service layer exports it at /metrics.
-func (s *Store) LatencyHistogram() *obs.Histogram { return &s.hist }
-
-// Fault implements engine.Engine.
-func (s *Store) Fault() *engine.Fault { return &s.fault }
-
-// enter simulates read-request entry (latency, injected faults).
-func (s *Store) enter(ctx context.Context) error {
-	return engine.EnterRequest(ctx, s.name, &s.lat, &s.fault)
-}
-
 // CreateCollection registers a collection.
 func (s *Store) CreateCollection(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.colls[name]; ok {
-		return fmt.Errorf("docstore %s: collection %q exists", s.name, name)
+		return fmt.Errorf("docstore %s: collection %q exists", s.Name(), name)
 	}
 	s.colls[name] = &collection{indexes: map[string]map[string][]int{}}
 	return nil
@@ -99,7 +66,7 @@ func (s *Store) DropCollection(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.colls[name]; !ok {
-		return fmt.Errorf("docstore %s: no collection %q", s.name, name)
+		return fmt.Errorf("docstore %s: no collection %q", s.Name(), name)
 	}
 	delete(s.colls, name)
 	return nil
@@ -120,14 +87,14 @@ func (s *Store) Collections() []string {
 func (s *Store) coll(name string) (*collection, error) {
 	c, ok := s.colls[name]
 	if !ok {
-		return nil, fmt.Errorf("docstore %s: no collection %q", s.name, name)
+		return nil, fmt.Errorf("docstore %s: no collection %q", s.Name(), name)
 	}
 	return c, nil
 }
 
 // Insert appends a document, maintaining indexes.
 func (s *Store) Insert(collName string, d *value.Doc) error {
-	if err := s.fault.BeforeWrite(); err != nil {
+	if err := s.Fault().BeforeWrite(); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -153,9 +120,9 @@ func (s *Store) Insert(collName string, d *value.Doc) error {
 // the previous snapshot are unaffected.
 func (s *Store) Delete(collName string, filters []PathFilter) (int, error) {
 	if len(filters) == 0 {
-		return 0, fmt.Errorf("docstore %s: delete without filters would drop collection %q", s.name, collName)
+		return 0, fmt.Errorf("docstore %s: delete without filters would drop collection %q", s.Name(), collName)
 	}
-	if err := s.fault.BeforeWrite(); err != nil {
+	if err := s.Fault().BeforeWrite(); err != nil {
 		return 0, err
 	}
 	s.mu.Lock()
@@ -200,9 +167,9 @@ func (s *Store) DeleteTuples(collName string, paths []string, rows []value.Tuple
 		return 0, nil
 	}
 	if len(paths) == 0 {
-		return 0, fmt.Errorf("docstore %s: delete without paths would drop collection %q", s.name, collName)
+		return 0, fmt.Errorf("docstore %s: delete without paths would drop collection %q", s.Name(), collName)
 	}
-	if err := s.fault.BeforeWrite(); err != nil {
+	if err := s.Fault().BeforeWrite(); err != nil {
 		return 0, err
 	}
 	victims := make(map[string]struct{}, len(rows))
@@ -299,12 +266,12 @@ type PathFilter struct {
 // Find returns the documents matching every filter, using an index when one
 // covers a filter path.
 func (s *Store) Find(collName string, filters []PathFilter) ([]*value.Doc, error) {
-	return s.findCounted(context.Background(), collName, filters, engine.NewTally(&s.counters, nil))
+	return s.findCounted(context.Background(), collName, filters, engine.NewTally(s.Counters(), nil))
 }
 
 func (s *Store) findCounted(ctx context.Context, collName string, filters []PathFilter, tally engine.Tally) ([]*value.Doc, error) {
 	tally.AddRequest()
-	if err := s.enter(ctx); err != nil {
+	if err := s.Enter(ctx); err != nil {
 		return nil, err
 	}
 	s.mu.RLock()
@@ -359,7 +326,7 @@ func (s *Store) findCounted(ctx context.Context, collName string, filters []Path
 // output tuple per array element combination along the first array
 // encountered.
 func (s *Store) FindTuplesBatchCounted(ctx context.Context, collName string, filters []PathFilter, paths []string, extra *engine.Counters) (engine.BatchIterator, error) {
-	docs, err := s.findCounted(ctx, collName, filters, engine.NewTally(&s.counters, extra))
+	docs, err := s.findCounted(ctx, collName, filters, engine.NewTally(s.Counters(), extra))
 	if err != nil {
 		return nil, err
 	}
@@ -367,7 +334,7 @@ func (s *Store) FindTuplesBatchCounted(ctx context.Context, collName string, fil
 	for _, d := range docs {
 		rows = append(rows, ProjectDoc(d, paths)...)
 	}
-	return s.fault.WrapBatch(engine.NewSliceBatchIterator(rows)), nil
+	return s.Fault().WrapBatch(engine.NewSliceBatchIterator(rows)), nil
 }
 
 // ProjectDoc projects a document to tuples along paths. If the first path

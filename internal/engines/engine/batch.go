@@ -11,7 +11,7 @@ import (
 //
 // Every store read also has the same shape, (ctx, …, extra *Counters)
 // (BatchIterator, error), and the same contract: it counts one request,
-// passes EnterRequest (simulated latency and injected stalls, both
+// passes Base.Enter (simulated latency and injected stalls, both
 // honouring ctx), fans its counts out through a Tally to the store-global
 // Counters and to extra — the caller's per-execution cell, nil for
 // store-global counting only — and wraps its stream in Fault.WrapBatch.

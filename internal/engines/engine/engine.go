@@ -9,7 +9,9 @@ package engine
 import (
 	"fmt"
 	"sync/atomic"
+	"time"
 
+	"repro/internal/obs"
 	"repro/internal/value"
 )
 
@@ -55,6 +57,11 @@ type Engine interface {
 	Counters() *Counters
 	// Fault exposes the store's fault injector (chaos testing).
 	Fault() *Fault
+	// LatencyHistogram records one sample per request, issue to stream
+	// end.
+	LatencyHistogram() *obs.Histogram
+	// RequestLatency is the simulated per-request service time.
+	RequestLatency() time.Duration
 }
 
 // Counters tallies the work a store performed; the demo reports these split

@@ -246,25 +246,6 @@ func (f *Fault) WrapBatch(it BatchIterator) BatchIterator {
 	return &failAfterIterator{in: it, left: n, fault: f}
 }
 
-// EnterRequest simulates read-request entry for a store: the configured
-// service latency, then the fault injector (stall, injected error) — both
-// honouring ctx. A non-nil return, attributed to the store, is the error
-// the request must fail with.
-func EnterRequest(ctx context.Context, store string, lat *Latency, f *Fault) error {
-	err := lat.Wait(ctx)
-	if err == nil {
-		err = f.BeforeRead(ctx)
-	}
-	if err == nil {
-		return nil
-	}
-	var se *StoreError
-	if errors.As(err, &se) {
-		return err
-	}
-	return &StoreError{Store: store, Err: err}
-}
-
 // failAfterIterator breaks a stream after a batch budget is spent.
 type failAfterIterator struct {
 	in    BatchIterator

@@ -13,12 +13,10 @@ import (
 // flight must return promptly with the context's error, not wait out
 // the stall.
 func TestWaitCancelledPromptlyUnderLongStall(t *testing.T) {
-	var lat Latency
-	lat.Set(30 * time.Second)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err := lat.Wait(ctx)
+	err := SimulateWait(ctx, 30*time.Second)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
@@ -29,17 +27,15 @@ func TestWaitCancelledPromptlyUnderLongStall(t *testing.T) {
 }
 
 func TestWaitNilContextAndZeroDuration(t *testing.T) {
-	var lat Latency
-	if err := lat.Wait(nil); err != nil {
+	if err := SimulateWait(nil, 0); err != nil {
 		t.Fatalf("zero latency: %v", err)
 	}
-	lat.Set(50 * time.Microsecond)
-	if err := lat.Wait(nil); err != nil {
+	if err := SimulateWait(nil, 50*time.Microsecond); err != nil {
 		t.Fatalf("nil ctx spin: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := lat.Wait(ctx); !errors.Is(err, context.Canceled) {
+	if err := SimulateWait(ctx, 50*time.Microsecond); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled ctx: err = %v, want Canceled", err)
 	}
 }
@@ -175,13 +171,12 @@ func TestWrapBatchPassThroughWhenUnset(t *testing.T) {
 }
 
 func TestEnterRequestAttributesStore(t *testing.T) {
-	var lat Latency
-	var f Fault
-	f.Bind("solr")
-	lat.Set(10 * time.Second)
+	var b Base
+	b.Init("solr")
+	b.SetRequestLatency(10 * time.Second)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	err := EnterRequest(ctx, "solr", &lat, &f)
+	err := b.Enter(ctx)
 	var se *StoreError
 	if !errors.As(err, &se) || se.Store != "solr" {
 		t.Fatalf("latency timeout not attributed to store: %v", err)

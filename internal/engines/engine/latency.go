@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"sync/atomic"
 	"time"
 )
 
@@ -12,39 +11,20 @@ import (
 // granularity rather than only at the end.
 const spinCeiling = 2 * time.Millisecond
 
-// Latency simulates the per-request service time of a real data-management
+// SimulateWait simulates the service time d of a real data-management
 // system: network round trip, protocol parsing, dispatch. The in-process
 // substrates answer in nanoseconds, which would erase the inter-store
 // differences the paper's scenario exploits (a Redis GET costs ~0.1 ms on a
 // LAN, a Postgres query ~0.5 ms, a Spark job dispatch ~100 ms); scaled-down
 // latencies restore the realistic ratios while keeping benchmarks fast.
 //
-// Short waits are busy spins (time.Sleep cannot hold microsecond
-// deadlines), so simulated service time shows up as CPU time in profiles —
-// acceptable for a simulator. Long waits (above spinCeiling, which only
-// arise under injected stalls) block on a timer and respect the caller's
-// context, so a stalled store cannot pin a query past its deadline. A zero
-// latency (the default everywhere outside the scenario wiring) is a no-op.
-type Latency struct {
-	ns int64
-}
-
-// Set configures the per-request service time.
-func (l *Latency) Set(d time.Duration) { atomic.StoreInt64(&l.ns, int64(d)) }
-
-// Get returns the configured service time.
-func (l *Latency) Get() time.Duration { return time.Duration(atomic.LoadInt64(&l.ns)) }
-
-// Wait simulates one request's service time. It returns early with the
-// context's error if the context is cancelled mid-wait; a nil context is
-// treated as uncancellable.
-func (l *Latency) Wait(ctx context.Context) error {
-	return SimulateWait(ctx, time.Duration(atomic.LoadInt64(&l.ns)))
-}
-
-// SimulateWait blocks the caller for d, honouring ctx. Durations up to
-// spinCeiling busy-spin (with a periodic cancellation check); longer
-// stalls — injected faults — park on a timer racing the context.
+// Waits up to spinCeiling are busy spins with a periodic cancellation
+// check (time.Sleep cannot hold microsecond deadlines), so simulated
+// service time shows up as CPU time in profiles — acceptable for a
+// simulator. Longer waits (injected stalls) park on a timer racing ctx,
+// so a stalled store cannot pin a query past its deadline. A nil ctx is
+// uncancellable; a zero d (the default everywhere outside the scenario
+// wiring) is a no-op.
 func SimulateWait(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return nil

@@ -17,40 +17,24 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/engines/engine"
-	"repro/internal/obs"
 	"repro/internal/value"
 )
 
 // Store is one key-value store instance.
 type Store struct {
-	name     string
-	mu       sync.RWMutex
-	colls    map[string]map[string][][]byte
-	counters engine.Counters
-	hist     obs.Histogram
-	lat      engine.Latency
-	fault    engine.Fault
+	engine.Base
+	mu    sync.RWMutex
+	colls map[string]map[string][][]byte
 }
 
 // New creates an empty key-value store.
 func New(name string) *Store {
-	s := &Store{name: name, colls: map[string]map[string][][]byte{}}
-	s.fault.Bind(name)
+	s := &Store{colls: map[string]map[string][][]byte{}}
+	s.Init(name)
 	return s
 }
-
-// SetRequestLatency configures the simulated per-request service time.
-func (s *Store) SetRequestLatency(d time.Duration) { s.lat.Set(d) }
-
-// RequestLatency reports the store's configured per-request latency model
-// (the planner reads it to scale per-store access costs).
-func (s *Store) RequestLatency() time.Duration { return s.lat.Get() }
-
-// Name implements engine.Engine.
-func (s *Store) Name() string { return s.name }
 
 // Kind implements engine.Engine.
 func (s *Store) Kind() string { return "keyvalue" }
@@ -58,31 +42,12 @@ func (s *Store) Kind() string { return "keyvalue" }
 // Capabilities implements engine.Engine: key lookup only.
 func (s *Store) Capabilities() engine.Capability { return engine.CapKeyLookup }
 
-// Counters implements engine.Engine.
-func (s *Store) Counters() *engine.Counters { return &s.counters }
-
-// LatencyHistogram is the store's per-request latency histogram,
-// recorded next to the counters: the translate layer observes one
-// sample per delegated request (issue to stream end) into it, and the
-// service layer exports it at /metrics.
-func (s *Store) LatencyHistogram() *obs.Histogram { return &s.hist }
-
-// Fault implements engine.Engine.
-func (s *Store) Fault() *engine.Fault { return &s.fault }
-
-// enter simulates read-request entry (latency, injected faults). It runs
-// before the store lock is taken, so an injected stall never blocks
-// writers.
-func (s *Store) enter(ctx context.Context) error {
-	return engine.EnterRequest(ctx, s.name, &s.lat, &s.fault)
-}
-
 // CreateCollection registers a collection.
 func (s *Store) CreateCollection(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.colls[name]; ok {
-		return fmt.Errorf("kvstore %s: collection %q exists", s.name, name)
+		return fmt.Errorf("kvstore %s: collection %q exists", s.Name(), name)
 	}
 	s.colls[name] = map[string][][]byte{}
 	return nil
@@ -93,7 +58,7 @@ func (s *Store) DropCollection(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.colls[name]; !ok {
-		return fmt.Errorf("kvstore %s: no collection %q", s.name, name)
+		return fmt.Errorf("kvstore %s: no collection %q", s.Name(), name)
 	}
 	delete(s.colls, name)
 	return nil
@@ -114,7 +79,7 @@ func (s *Store) Collections() []string {
 func (s *Store) coll(name string) (map[string][][]byte, error) {
 	c, ok := s.colls[name]
 	if !ok {
-		return nil, fmt.Errorf("kvstore %s: no collection %q", s.name, name)
+		return nil, fmt.Errorf("kvstore %s: no collection %q", s.Name(), name)
 	}
 	return c, nil
 }
@@ -122,7 +87,7 @@ func (s *Store) coll(name string) (map[string][][]byte, error) {
 // Append stores one tuple under key (appending to any tuples already
 // there). The tuple is encoded to bytes, as a real KV store would receive.
 func (s *Store) Append(collection, key string, t value.Tuple) error {
-	if err := s.fault.BeforeWrite(); err != nil {
+	if err := s.Fault().BeforeWrite(); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -137,7 +102,7 @@ func (s *Store) Append(collection, key string, t value.Tuple) error {
 
 // Put replaces the tuples under key with exactly one tuple.
 func (s *Store) Put(collection, key string, t value.Tuple) error {
-	if err := s.fault.BeforeWrite(); err != nil {
+	if err := s.Fault().BeforeWrite(); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -152,7 +117,7 @@ func (s *Store) Put(collection, key string, t value.Tuple) error {
 
 // Delete removes a key.
 func (s *Store) Delete(collection, key string) error {
-	if err := s.fault.BeforeWrite(); err != nil {
+	if err := s.Fault().BeforeWrite(); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -171,7 +136,7 @@ func (s *Store) Delete(collection, key string) error {
 // fresh slice (never mutated in place) and the key disappears when its
 // last tuple goes. Returns how many copies were removed.
 func (s *Store) DeleteTuple(collection, key string, t value.Tuple) (int, error) {
-	if err := s.fault.BeforeWrite(); err != nil {
+	if err := s.Fault().BeforeWrite(); err != nil {
 		return 0, err
 	}
 	s.mu.Lock()
@@ -205,9 +170,9 @@ func (s *Store) DeleteTuple(collection, key string, t value.Tuple) (int, error) 
 // store's only query-time access path. A missing key yields an empty
 // stream, not an error (KV semantics).
 func (s *Store) GetBatchCounted(ctx context.Context, collection, key string, extra *engine.Counters) (engine.BatchIterator, error) {
-	tally := engine.NewTally(&s.counters, extra)
+	tally := engine.NewTally(s.Counters(), extra)
 	tally.AddRequest()
-	if err := s.enter(ctx); err != nil {
+	if err := s.Enter(ctx); err != nil {
 		return nil, err
 	}
 	s.mu.RLock()
@@ -223,12 +188,12 @@ func (s *Store) GetBatchCounted(ctx context.Context, collection, key string, ext
 		t, err := value.DecodeTuple(p)
 		if err != nil {
 			return nil, fmt.Errorf("kvstore %s: corrupt payload under %q/%q: %w",
-				s.name, collection, key, err)
+				s.Name(), collection, key, err)
 		}
 		rows = append(rows, t)
 	}
 	tally.AddTuples(len(rows))
-	return s.fault.WrapBatch(engine.NewSliceBatchIterator(rows)), nil
+	return s.Fault().WrapBatch(engine.NewSliceBatchIterator(rows)), nil
 }
 
 // Len returns the number of keys in a collection.
@@ -264,7 +229,7 @@ func (s *Store) Dump(collection string) ([]value.Tuple, error) {
 			t, err := value.DecodeTuple(p)
 			if err != nil {
 				return nil, fmt.Errorf("kvstore %s: corrupt payload under %q/%q: %w",
-					s.name, collection, k, err)
+					s.Name(), collection, k, err)
 			}
 			rows = append(rows, t)
 		}

@@ -16,23 +16,17 @@ import (
 	"hash/fnv"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/engines/engine"
-	"repro/internal/obs"
 	"repro/internal/value"
 )
 
 // Store is one partitioned parallel store instance.
 type Store struct {
-	name       string
+	engine.Base
 	partitions int
 	mu         sync.RWMutex
 	tables     map[string]*Table
-	counters   engine.Counters
-	hist       obs.Histogram
-	lat        engine.Latency
-	fault      engine.Fault
 }
 
 // New creates a parallel store with the given partition count (≥1).
@@ -40,21 +34,10 @@ func New(name string, partitions int) *Store {
 	if partitions < 1 {
 		partitions = 1
 	}
-	s := &Store{name: name, partitions: partitions, tables: map[string]*Table{}}
-	s.fault.Bind(name)
+	s := &Store{partitions: partitions, tables: map[string]*Table{}}
+	s.Init(name)
 	return s
 }
-
-// SetRequestLatency configures the simulated per-request service time
-// (job-dispatch cost for a parallel system).
-func (s *Store) SetRequestLatency(d time.Duration) { s.lat.Set(d) }
-
-// RequestLatency reports the store's configured per-request latency model
-// (the planner reads it to scale per-store access costs).
-func (s *Store) RequestLatency() time.Duration { return s.lat.Get() }
-
-// Name implements engine.Engine.
-func (s *Store) Name() string { return s.name }
 
 // Kind implements engine.Engine.
 func (s *Store) Kind() string { return "parallel" }
@@ -63,24 +46,6 @@ func (s *Store) Kind() string { return "parallel" }
 func (s *Store) Capabilities() engine.Capability {
 	return engine.CapScan | engine.CapKeyLookup | engine.CapFilter |
 		engine.CapProject | engine.CapJoin | engine.CapNested | engine.CapParallel
-}
-
-// Counters implements engine.Engine.
-func (s *Store) Counters() *engine.Counters { return &s.counters }
-
-// LatencyHistogram is the store's per-request latency histogram,
-// recorded next to the counters: the translate layer observes one
-// sample per delegated request (issue to stream end) into it, and the
-// service layer exports it at /metrics.
-func (s *Store) LatencyHistogram() *obs.Histogram { return &s.hist }
-
-// Fault implements engine.Engine.
-func (s *Store) Fault() *engine.Fault { return &s.fault }
-
-// enter simulates read-request entry (job-dispatch latency, injected
-// faults).
-func (s *Store) enter(ctx context.Context) error {
-	return engine.EnterRequest(ctx, s.name, &s.lat, &s.fault)
 }
 
 // Partitions returns the configured parallelism.
@@ -106,7 +71,7 @@ func (s *Store) CreateTable(name, partitionColumn string, columns ...string) (*T
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.tables[name]; ok {
-		return nil, fmt.Errorf("parstore %s: table %q exists", s.name, name)
+		return nil, fmt.Errorf("parstore %s: table %q exists", s.Name(), name)
 	}
 	t := &Table{
 		name:    name,
@@ -120,7 +85,7 @@ func (s *Store) CreateTable(name, partitionColumn string, columns ...string) (*T
 	}
 	pc, ok := t.colPos[partitionColumn]
 	if !ok {
-		return nil, fmt.Errorf("parstore %s: partition column %q not in schema", s.name, partitionColumn)
+		return nil, fmt.Errorf("parstore %s: partition column %q not in schema", s.Name(), partitionColumn)
 	}
 	t.partCol = pc
 	s.tables[name] = t
@@ -133,7 +98,7 @@ func (s *Store) Table(name string) (*Table, error) {
 	defer s.mu.RUnlock()
 	t, ok := s.tables[name]
 	if !ok {
-		return nil, fmt.Errorf("parstore %s: no table %q", s.name, name)
+		return nil, fmt.Errorf("parstore %s: no table %q", s.Name(), name)
 	}
 	return t, nil
 }
@@ -143,7 +108,7 @@ func (s *Store) DropTable(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.tables[name]; !ok {
-		return fmt.Errorf("parstore %s: no table %q", s.name, name)
+		return fmt.Errorf("parstore %s: no table %q", s.Name(), name)
 	}
 	delete(s.tables, name)
 	return nil
@@ -190,7 +155,7 @@ func hashPartition(v value.Value, parts int) int {
 
 // Insert adds a row to the partition selected by the partition column.
 func (s *Store) Insert(table string, row value.Tuple) error {
-	if err := s.fault.BeforeWrite(); err != nil {
+	if err := s.Fault().BeforeWrite(); err != nil {
 		return err
 	}
 	return s.insert(table, row)
@@ -203,7 +168,7 @@ func (s *Store) insert(table string, row value.Tuple) error {
 	}
 	if len(row) != len(t.columns) {
 		return fmt.Errorf("parstore %s: table %q expects %d columns, got %d",
-			s.name, table, len(t.columns), len(row))
+			s.Name(), table, len(t.columns), len(row))
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -220,7 +185,7 @@ func (s *Store) insert(table string, row value.Tuple) error {
 // InsertMany bulk-loads rows. The fault injector is consulted once for
 // the whole batch (one delegated write request).
 func (s *Store) InsertMany(table string, rows []value.Tuple) error {
-	if err := s.fault.BeforeWrite(); err != nil {
+	if err := s.Fault().BeforeWrite(); err != nil {
 		return err
 	}
 	for _, r := range rows {
@@ -237,7 +202,7 @@ func (s *Store) InsertMany(table string, rows []value.Tuple) error {
 // partition workers of an already-open parallel scan keep iterating their
 // own snapshot untouched.
 func (s *Store) Delete(table string, row value.Tuple) (int, error) {
-	if err := s.fault.BeforeWrite(); err != nil {
+	if err := s.Fault().BeforeWrite(); err != nil {
 		return 0, err
 	}
 	t, err := s.Table(table)
@@ -246,7 +211,7 @@ func (s *Store) Delete(table string, row value.Tuple) (int, error) {
 	}
 	if len(row) != len(t.columns) {
 		return 0, fmt.Errorf("parstore %s: table %q expects %d columns, got %d",
-			s.name, table, len(t.columns), len(row))
+			s.Name(), table, len(t.columns), len(row))
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -277,7 +242,7 @@ func (s *Store) DeleteMany(table string, rows []value.Tuple) (int, error) {
 	if len(rows) == 0 {
 		return 0, nil
 	}
-	if err := s.fault.BeforeWrite(); err != nil {
+	if err := s.Fault().BeforeWrite(); err != nil {
 		return 0, err
 	}
 	t, err := s.Table(table)
@@ -290,7 +255,7 @@ func (s *Store) DeleteMany(table string, rows []value.Tuple) (int, error) {
 	for _, r := range rows {
 		if len(r) != len(t.columns) {
 			return 0, fmt.Errorf("parstore %s: table %q expects %d columns, got %d",
-				s.name, table, len(t.columns), len(r))
+				s.Name(), table, len(t.columns), len(r))
 		}
 		p := hashPartition(r[t.partCol], s.partitions)
 		v := perPart[p]
@@ -395,9 +360,9 @@ func (s *Store) SelectBatchCounted(ctx context.Context, table string, filters []
 	if err != nil {
 		return nil, err
 	}
-	tally := engine.NewTally(&s.counters, extra)
+	tally := engine.NewTally(s.Counters(), extra)
 	tally.AddRequest()
-	if err := s.enter(ctx); err != nil {
+	if err := s.Enter(ctx); err != nil {
 		return nil, err
 	}
 	s.mu.RLock()
@@ -419,7 +384,7 @@ func (s *Store) SelectBatchCounted(ctx context.Context, table string, filters []
 			}
 		}
 		tally.AddTuples(len(rows))
-		return s.fault.WrapBatch(engine.NewSliceBatchIterator(rows)), nil
+		return s.Fault().WrapBatch(engine.NewSliceBatchIterator(rows)), nil
 	}
 
 	// Parallel scan path: one worker per partition, slabs on the channel.
@@ -461,7 +426,7 @@ func (s *Store) SelectBatchCounted(ctx context.Context, table string, filters []
 		wg.Wait()
 		close(out)
 	}()
-	return s.fault.WrapBatch(&slabChanBatchIterator{c: out, closed: done}), nil
+	return s.Fault().WrapBatch(&slabChanBatchIterator{c: out, closed: done}), nil
 }
 
 // slabChanBatchIterator adapts a channel of row slabs to the batch
@@ -529,9 +494,9 @@ func projectRow(row value.Tuple, project []int) value.Tuple {
 // parallel store, like Spark, accepts whole subqueries including joins).
 // One request is counted however many tables participate.
 func (s *Store) QueryBatchCounted(ctx context.Context, q engine.DQuery, extra *engine.Counters) (engine.BatchIterator, error) {
-	tally := engine.NewTally(&s.counters, extra)
+	tally := engine.NewTally(s.Counters(), extra)
 	tally.AddRequest()
-	if err := s.enter(ctx); err != nil {
+	if err := s.Enter(ctx); err != nil {
 		return nil, err
 	}
 	it, err := engine.EvalDelegate(q, func(collection string, filters []engine.EqFilter) ([]value.Tuple, error) {
@@ -540,7 +505,7 @@ func (s *Store) QueryBatchCounted(ctx context.Context, q engine.DQuery, extra *e
 	if err != nil {
 		return nil, err
 	}
-	return s.fault.WrapBatch(it), nil
+	return s.Fault().WrapBatch(it), nil
 }
 
 // selectNoRequest materializes one table access within a delegated query
@@ -591,11 +556,11 @@ func (s *Store) Aggregate(ctx context.Context, table string, filters []engine.Eq
 		return nil, err
 	}
 	if fn != "count" && fn != "sum" && fn != "min" && fn != "max" {
-		return nil, fmt.Errorf("parstore %s: unsupported aggregate %q", s.name, fn)
+		return nil, fmt.Errorf("parstore %s: unsupported aggregate %q", s.Name(), fn)
 	}
-	tally := engine.NewTally(&s.counters, extra)
+	tally := engine.NewTally(s.Counters(), extra)
 	tally.AddRequest()
-	if err := s.enter(ctx); err != nil {
+	if err := s.Enter(ctx); err != nil {
 		return nil, err
 	}
 	tally.AddScan()
@@ -689,7 +654,7 @@ func (s *Store) Aggregate(ctx context.Context, table string, filters []engine.Eq
 		rows = append(rows, append(m.keyRow.Clone(), av))
 	}
 	tally.AddTuples(len(rows))
-	return s.fault.WrapBatch(engine.NewSliceBatchIterator(rows)), nil
+	return s.Fault().WrapBatch(engine.NewSliceBatchIterator(rows)), nil
 }
 
 func orNull(v value.Value) value.Value {

@@ -12,9 +12,9 @@ import (
 // would. One request is counted regardless of how many tables participate
 // (the accesses within one delegated query are not separate round-trips).
 func (s *Store) QueryBatchCounted(ctx context.Context, q engine.DQuery, extra *engine.Counters) (engine.BatchIterator, error) {
-	tally := engine.NewTally(&s.counters, extra)
+	tally := engine.NewTally(s.Counters(), extra)
 	tally.AddRequest()
-	if err := s.enter(ctx); err != nil {
+	if err := s.Enter(ctx); err != nil {
 		return nil, err
 	}
 	it, err := engine.EvalDelegate(q, func(collection string, filters []engine.EqFilter) ([]value.Tuple, error) {
@@ -37,5 +37,5 @@ func (s *Store) QueryBatchCounted(ctx context.Context, q engine.DQuery, extra *e
 	if err != nil {
 		return nil, err
 	}
-	return s.fault.WrapBatch(it), nil
+	return s.Fault().WrapBatch(it), nil
 }

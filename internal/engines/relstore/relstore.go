@@ -11,48 +11,24 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/engines/engine"
-	"repro/internal/obs"
 	"repro/internal/value"
 )
 
 // Store is one relational database instance.
 type Store struct {
-	name     string
-	mu       sync.RWMutex
-	tables   map[string]*Table
-	counters engine.Counters
-	hist     obs.Histogram
-	lat      engine.Latency
-	fault    engine.Fault
+	engine.Base
+	mu     sync.RWMutex
+	tables map[string]*Table
 }
 
 // New creates an empty relational store.
 func New(name string) *Store {
-	s := &Store{name: name, tables: map[string]*Table{}}
-	s.fault.Bind(name)
+	s := &Store{tables: map[string]*Table{}}
+	s.Init(name)
 	return s
 }
-
-// SetRequestLatency configures the simulated per-request service time.
-func (s *Store) SetRequestLatency(d time.Duration) { s.lat.Set(d) }
-
-// RequestLatency reports the store's configured per-request latency model
-// (the planner reads it to scale per-store access costs).
-func (s *Store) RequestLatency() time.Duration { return s.lat.Get() }
-
-// Fault implements engine.Engine.
-func (s *Store) Fault() *engine.Fault { return &s.fault }
-
-// enter simulates read-request entry (latency, injected faults).
-func (s *Store) enter(ctx context.Context) error {
-	return engine.EnterRequest(ctx, s.name, &s.lat, &s.fault)
-}
-
-// Name implements engine.Engine.
-func (s *Store) Name() string { return s.name }
 
 // Kind implements engine.Engine.
 func (s *Store) Kind() string { return "relational" }
@@ -62,15 +38,6 @@ func (s *Store) Capabilities() engine.Capability {
 	return engine.CapScan | engine.CapKeyLookup | engine.CapFilter |
 		engine.CapProject | engine.CapJoin
 }
-
-// Counters implements engine.Engine.
-func (s *Store) Counters() *engine.Counters { return &s.counters }
-
-// LatencyHistogram is the store's per-request latency histogram,
-// recorded next to the counters: the translate layer observes one
-// sample per delegated request (issue to stream end) into it, and the
-// service layer exports it at /metrics.
-func (s *Store) LatencyHistogram() *obs.Histogram { return &s.hist }
 
 // Table is one relation with optional secondary indexes.
 type Table struct {
@@ -87,10 +54,10 @@ func (s *Store) CreateTable(name string, columns ...string) (*Table, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.tables[name]; ok {
-		return nil, fmt.Errorf("relstore %s: table %q exists", s.name, name)
+		return nil, fmt.Errorf("relstore %s: table %q exists", s.Name(), name)
 	}
 	if len(columns) == 0 {
-		return nil, fmt.Errorf("relstore %s: table %q needs at least one column", s.name, name)
+		return nil, fmt.Errorf("relstore %s: table %q needs at least one column", s.Name(), name)
 	}
 	t := &Table{
 		name:    name,
@@ -100,7 +67,7 @@ func (s *Store) CreateTable(name string, columns ...string) (*Table, error) {
 	}
 	for i, c := range columns {
 		if _, dup := t.colPos[c]; dup {
-			return nil, fmt.Errorf("relstore %s: table %q duplicate column %q", s.name, name, c)
+			return nil, fmt.Errorf("relstore %s: table %q duplicate column %q", s.Name(), name, c)
 		}
 		t.colPos[c] = i
 	}
@@ -114,7 +81,7 @@ func (s *Store) Table(name string) (*Table, error) {
 	defer s.mu.RUnlock()
 	t, ok := s.tables[name]
 	if !ok {
-		return nil, fmt.Errorf("relstore %s: no table %q", s.name, name)
+		return nil, fmt.Errorf("relstore %s: no table %q", s.Name(), name)
 	}
 	return t, nil
 }
@@ -136,7 +103,7 @@ func (s *Store) DropTable(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.tables[name]; !ok {
-		return fmt.Errorf("relstore %s: no table %q", s.name, name)
+		return fmt.Errorf("relstore %s: no table %q", s.Name(), name)
 	}
 	delete(s.tables, name)
 	return nil
@@ -160,7 +127,7 @@ func (t *Table) ColumnPos(col string) (int, error) {
 // Insert appends a row; its width must match the schema. Indexes are
 // maintained.
 func (s *Store) Insert(table string, row value.Tuple) error {
-	if err := s.fault.BeforeWrite(); err != nil {
+	if err := s.Fault().BeforeWrite(); err != nil {
 		return err
 	}
 	return s.insert(table, row)
@@ -173,7 +140,7 @@ func (s *Store) insert(table string, row value.Tuple) error {
 	}
 	if len(row) != len(t.columns) {
 		return fmt.Errorf("relstore %s: table %q expects %d columns, got %d",
-			s.name, table, len(t.columns), len(row))
+			s.Name(), table, len(t.columns), len(row))
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -189,7 +156,7 @@ func (s *Store) insert(table string, row value.Tuple) error {
 // InsertMany bulk-loads rows. The fault injector is consulted once for
 // the whole batch (one delegated write request).
 func (s *Store) InsertMany(table string, rows []value.Tuple) error {
-	if err := s.fault.BeforeWrite(); err != nil {
+	if err := s.Fault().BeforeWrite(); err != nil {
 		return err
 	}
 	for _, r := range rows {
@@ -206,7 +173,7 @@ func (s *Store) InsertMany(table string, rows []value.Tuple) error {
 // before the delete keep reading their own consistent snapshot — a delete
 // never mutates storage an open cursor may still be scanning.
 func (s *Store) Delete(table string, row value.Tuple) (int, error) {
-	if err := s.fault.BeforeWrite(); err != nil {
+	if err := s.Fault().BeforeWrite(); err != nil {
 		return 0, err
 	}
 	t, err := s.Table(table)
@@ -215,7 +182,7 @@ func (s *Store) Delete(table string, row value.Tuple) (int, error) {
 	}
 	if len(row) != len(t.columns) {
 		return 0, fmt.Errorf("relstore %s: table %q expects %d columns, got %d",
-			s.name, table, len(t.columns), len(row))
+			s.Name(), table, len(t.columns), len(row))
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -244,7 +211,7 @@ func (s *Store) DeleteMany(table string, rows []value.Tuple) (int, error) {
 	if len(rows) == 0 {
 		return 0, nil
 	}
-	if err := s.fault.BeforeWrite(); err != nil {
+	if err := s.Fault().BeforeWrite(); err != nil {
 		return 0, err
 	}
 	t, err := s.Table(table)
@@ -255,7 +222,7 @@ func (s *Store) DeleteMany(table string, rows []value.Tuple) (int, error) {
 	for _, r := range rows {
 		if len(r) != len(t.columns) {
 			return 0, fmt.Errorf("relstore %s: table %q expects %d columns, got %d",
-				s.name, table, len(t.columns), len(r))
+				s.Name(), table, len(t.columns), len(r))
 		}
 		victims[r.Key()] = struct{}{}
 	}
@@ -370,9 +337,9 @@ func (s *Store) SelectBatchCounted(ctx context.Context, table string, filters []
 	if err != nil {
 		return nil, err
 	}
-	tally := engine.NewTally(&s.counters, extra)
+	tally := engine.NewTally(s.Counters(), extra)
 	tally.AddRequest()
-	if err := s.enter(ctx); err != nil {
+	if err := s.Enter(ctx); err != nil {
 		return nil, err
 	}
 	base, rest := s.access(t, filters, tally)
@@ -380,5 +347,5 @@ func (s *Store) SelectBatchCounted(ctx context.Context, table string, filters []
 	if project != nil {
 		it = &engine.BatchProject{In: it, Cols: project}
 	}
-	return s.fault.WrapBatch(&engine.CountingBatchIterator{In: it, T: tally}), nil
+	return s.Fault().WrapBatch(&engine.CountingBatchIterator{In: it, T: tally}), nil
 }

@@ -13,23 +13,17 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 	"unicode"
 
 	"repro/internal/engines/engine"
-	"repro/internal/obs"
 	"repro/internal/value"
 )
 
 // Store is one full-text store instance.
 type Store struct {
-	name     string
-	mu       sync.RWMutex
-	colls    map[string]*index
-	counters engine.Counters
-	hist     obs.Histogram
-	lat      engine.Latency
-	fault    engine.Fault
+	engine.Base
+	mu    sync.RWMutex
+	colls map[string]*index
 }
 
 type index struct {
@@ -44,20 +38,10 @@ type index struct {
 
 // New creates an empty full-text store.
 func New(name string) *Store {
-	s := &Store{name: name, colls: map[string]*index{}}
-	s.fault.Bind(name)
+	s := &Store{colls: map[string]*index{}}
+	s.Init(name)
 	return s
 }
-
-// SetRequestLatency configures the simulated per-request service time.
-func (s *Store) SetRequestLatency(d time.Duration) { s.lat.Set(d) }
-
-// RequestLatency reports the store's configured per-request latency model
-// (the planner reads it to scale per-store access costs).
-func (s *Store) RequestLatency() time.Duration { return s.lat.Get() }
-
-// Name implements engine.Engine.
-func (s *Store) Name() string { return s.name }
 
 // Kind implements engine.Engine.
 func (s *Store) Kind() string { return "fulltext" }
@@ -67,30 +51,13 @@ func (s *Store) Capabilities() engine.Capability {
 	return engine.CapScan | engine.CapFilter | engine.CapProject | engine.CapFullText
 }
 
-// Counters implements engine.Engine.
-func (s *Store) Counters() *engine.Counters { return &s.counters }
-
-// LatencyHistogram is the store's per-request latency histogram,
-// recorded next to the counters: the translate layer observes one
-// sample per delegated request (issue to stream end) into it, and the
-// service layer exports it at /metrics.
-func (s *Store) LatencyHistogram() *obs.Histogram { return &s.hist }
-
-// Fault implements engine.Engine.
-func (s *Store) Fault() *engine.Fault { return &s.fault }
-
-// enter simulates read-request entry (latency, injected faults).
-func (s *Store) enter(ctx context.Context) error {
-	return engine.EnterRequest(ctx, s.name, &s.lat, &s.fault)
-}
-
 // CreateCollection registers a collection; textFields are tokenized into
 // the inverted index.
 func (s *Store) CreateCollection(name string, textFields ...string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.colls[name]; ok {
-		return fmt.Errorf("textstore %s: collection %q exists", s.name, name)
+		return fmt.Errorf("textstore %s: collection %q exists", s.Name(), name)
 	}
 	ix := &index{
 		textFields: map[string]bool{},
@@ -109,7 +76,7 @@ func (s *Store) DropCollection(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.colls[name]; !ok {
-		return fmt.Errorf("textstore %s: no collection %q", s.name, name)
+		return fmt.Errorf("textstore %s: no collection %q", s.Name(), name)
 	}
 	delete(s.colls, name)
 	return nil
@@ -118,14 +85,18 @@ func (s *Store) DropCollection(name string) error {
 func (s *Store) coll(name string) (*index, error) {
 	c, ok := s.colls[name]
 	if !ok {
-		return nil, fmt.Errorf("textstore %s: no collection %q", s.name, name)
+		return nil, fmt.Errorf("textstore %s: no collection %q", s.Name(), name)
 	}
 	return c, nil
 }
 
-// Index adds a document (a flat field→value map). Text fields are
-// tokenized; every field gets an exact-match entry.
-func (s *Store) Index(collName string, doc map[string]value.Value) error {
+// Insert indexes one document (a flat field→value map): text fields are
+// tokenized into the inverted index, and every field gets an exact-match
+// entry.
+func (s *Store) Insert(collName string, doc map[string]value.Value) error {
+	if err := s.Fault().BeforeWrite(); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	c, err := s.coll(collName)
@@ -143,7 +114,7 @@ func (s *Store) Index(collName string, doc map[string]value.Value) error {
 }
 
 // indexDoc adds one document's postings and exact-match entries — shared
-// between Index (append) and DeleteMany's rebuild so tokenization and
+// between Insert (append) and DeleteMany's rebuild so tokenization and
 // posting semantics can never diverge between the two.
 func (c *index) indexDoc(pos int, doc map[string]value.Value) {
 	for field, v := range doc {
@@ -161,17 +132,6 @@ func (c *index) indexDoc(pos int, doc map[string]value.Value) {
 		}
 		fi[v.Key()] = append(fi[v.Key()], pos)
 	}
-}
-
-// Insert is the DML-facing write API: it stores one document exactly like
-// Index (tokenizing text fields into the inverted index). The two names
-// coexist because search engines call ingestion "indexing" while the
-// mediator's write path speaks insert/delete uniformly across stores.
-func (s *Store) Insert(collName string, doc map[string]value.Value) error {
-	if err := s.fault.BeforeWrite(); err != nil {
-		return err
-	}
-	return s.Index(collName, doc)
 }
 
 // Delete removes every document whose stored fields match ALL the given
@@ -193,12 +153,12 @@ func (s *Store) DeleteMany(collName string, criteria []map[string]value.Value) (
 	if len(criteria) == 0 {
 		return 0, nil
 	}
-	if err := s.fault.BeforeWrite(); err != nil {
+	if err := s.Fault().BeforeWrite(); err != nil {
 		return 0, err
 	}
 	for _, fields := range criteria {
 		if len(fields) == 0 {
-			return 0, fmt.Errorf("textstore %s: delete without field filters would drop collection %q", s.name, collName)
+			return 0, fmt.Errorf("textstore %s: delete without field filters would drop collection %q", s.Name(), collName)
 		}
 	}
 	// Fast path: when every criterion names the same field set (the
@@ -346,9 +306,9 @@ type FieldFilter struct {
 // SearchBatchCounted runs a query, returning one tuple per hit, projected
 // on q.Project (missing fields become NULL).
 func (s *Store) SearchBatchCounted(ctx context.Context, collName string, q Query, extra *engine.Counters) (engine.BatchIterator, error) {
-	tally := engine.NewTally(&s.counters, extra)
+	tally := engine.NewTally(s.Counters(), extra)
 	tally.AddRequest()
-	if err := s.enter(ctx); err != nil {
+	if err := s.Enter(ctx); err != nil {
 		return nil, err
 	}
 	s.mu.RLock()
@@ -410,7 +370,7 @@ func (s *Store) SearchBatchCounted(ctx context.Context, collName string, q Query
 		rows = append(rows, row)
 	}
 	tally.AddTuples(len(rows))
-	return s.fault.WrapBatch(engine.NewSliceBatchIterator(rows)), nil
+	return s.Fault().WrapBatch(engine.NewSliceBatchIterator(rows)), nil
 }
 
 // intersect merges two sorted posting lists.

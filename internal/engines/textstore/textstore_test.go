@@ -24,7 +24,7 @@ func newCatalog(t *testing.T) *Store {
 			"description": value.Str("Wireless projector, silent fan")},
 	}
 	for _, d := range docs {
-		if err := s.Index("products", d); err != nil {
+		if err := s.Insert("products", d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,7 +136,7 @@ func TestSearchUnknownTerm(t *testing.T) {
 
 func TestCollectionErrors(t *testing.T) {
 	s := New("solr")
-	if err := s.Index("missing", nil); err == nil {
+	if err := s.Insert("missing", nil); err == nil {
 		t.Error("index into missing collection accepted")
 	}
 	if _, err := s.SearchBatchCounted(context.Background(), "missing", Query{}, nil); err == nil {

@@ -212,7 +212,7 @@ func randomLeaf(rng *rand.Rand, m *datagen.Marketplace) refPlan {
 	}
 }
 
-// randomUnary wraps a plan in Select, Project, Distinct or Limit-free
+// randomUnary wraps a plan in Select, Project or Distinct
 // combinations, keeping the reference rows in lockstep.
 func randomUnary(rng *rand.Rand, p refPlan) refPlan {
 	schema := p.node.Schema()

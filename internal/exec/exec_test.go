@@ -293,145 +293,6 @@ func TestHashJoinBuildSideError(t *testing.T) {
 	}
 }
 
-func TestLimit(t *testing.T) {
-	in := vals(Schema{"x"}, value.TupleOf(1), value.TupleOf(2), value.TupleOf(3))
-	rows, err := Run(&Limit{In: in, N: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Errorf("limit = %v", rows)
-	}
-}
-
-func TestSort(t *testing.T) {
-	in := vals(Schema{"x", "y"},
-		value.TupleOf(2, "b"), value.TupleOf(1, "c"), value.TupleOf(2, "a"))
-	rows, err := Run(&Sort{In: in, By: []string{"x", "y"}, Desc: []bool{false, true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []value.Tuple{value.TupleOf(1, "c"), value.TupleOf(2, "b"), value.TupleOf(2, "a")}
-	for i := range want {
-		if !value.Equal(rows[i], want[i]) {
-			t.Errorf("row %d = %v, want %v", i, rows[i], want[i])
-		}
-	}
-	if _, err := Run(&Sort{In: in, By: []string{"ghost"}}); err == nil {
-		t.Error("unknown sort column accepted")
-	}
-}
-
-func TestAggregate(t *testing.T) {
-	in := vals(Schema{"g", "v"},
-		value.TupleOf("a", 1), value.TupleOf("a", 3), value.TupleOf("b", 5))
-	cases := []struct {
-		fn   AggFunc
-		a, b value.Value
-	}{
-		{AggCount, value.Int(2), value.Int(1)},
-		{AggSum, value.Float(4), value.Float(5)},
-		{AggMin, value.Int(1), value.Int(5)},
-		{AggMax, value.Int(3), value.Int(5)},
-		{AggAvg, value.Float(2), value.Float(5)},
-	}
-	for _, c := range cases {
-		agg, err := NewAggregate(in, []string{"g"}, c.fn, "v")
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows, err := Run(agg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := map[string]value.Value{}
-		for _, r := range rows {
-			got[string(r[0].(value.Str))] = r[1]
-		}
-		if !value.Equal(got["a"], c.a) || !value.Equal(got["b"], c.b) {
-			t.Errorf("%s: got %v", c.fn, got)
-		}
-	}
-	if _, err := NewAggregate(in, []string{"ghost"}, AggCount, ""); err == nil {
-		t.Error("unknown group column accepted")
-	}
-	if _, err := NewAggregate(in, nil, "median", "v"); err == nil {
-		t.Error("unknown aggregate accepted")
-	}
-}
-
-func TestNestAndUnnestRoundTrip(t *testing.T) {
-	in := vals(Schema{"u", "sku", "qty"},
-		value.TupleOf("u1", "a", 1),
-		value.TupleOf("u1", "b", 2),
-		value.TupleOf("u2", "c", 3),
-	)
-	n, err := NewNest(in, []string{"u"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nested, err := Run(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nested) != 2 {
-		t.Fatalf("nested = %v", nested)
-	}
-	u1 := nested[0]
-	if l, ok := u1[1].(value.List); !ok || len(l) != 2 {
-		t.Errorf("u1 nested = %v", u1)
-	}
-	// Unnest back.
-	un, err := NewUnnest(&Values{Out: n.Schema(), Rows: nested}, "nested", []string{"sku", "qty"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat, err := Run(un)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(flat) != 3 {
-		t.Errorf("unnest = %v", flat)
-	}
-	if un.Schema().String() != "(u, sku, qty)" {
-		t.Errorf("unnest schema = %v", un.Schema())
-	}
-}
-
-func TestUnion(t *testing.T) {
-	a := vals(Schema{"x"}, value.TupleOf(1))
-	b := vals(Schema{"x"}, value.TupleOf(2))
-	rows, err := Run(&Union{Inputs: []Node{a, b}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Errorf("union = %v", rows)
-	}
-}
-
-func TestConstructDoc(t *testing.T) {
-	in := vals(Schema{"u", "city"}, value.TupleOf("u1", "paris"))
-	c, err := NewConstructDoc(in, map[string]string{"user": "u", "town": "city"}, "doc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := Run(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, ok := rows[0][0].(*value.Doc)
-	if !ok {
-		t.Fatalf("not a doc: %v", rows[0][0])
-	}
-	if v, _ := d.ScalarAt("user"); !value.Equal(v, value.Str("u1")) {
-		t.Errorf("doc = %v", d)
-	}
-	if _, err := NewConstructDoc(in, map[string]string{"f": "ghost"}, "doc"); err == nil {
-		t.Error("unknown construct column accepted")
-	}
-}
-
 func TestExplainTree(t *testing.T) {
 	in := vals(Schema{"x"}, value.TupleOf(1))
 	p, _ := NewProject(&Distinct{In: in}, []string{"x"})
@@ -500,35 +361,5 @@ func TestSourceOpenErrorPropagates(t *testing.T) {
 	j2, _ := NewHashJoin(good, src)
 	if _, err := Run(j2); !errors.Is(err, sentinel) {
 		t.Errorf("right err = %v", err)
-	}
-}
-
-func TestUnionErrorPropagates(t *testing.T) {
-	sentinel := errors.New("boom")
-	src := &Source{Name: "b", Out: Schema{"x"},
-		BatchFn: func(*Ctx) (engine.BatchIterator, error) { return nil, sentinel }}
-	u := &Union{Inputs: []Node{vals(Schema{"x"}, value.TupleOf(1)), src}}
-	if _, err := Run(u); !errors.Is(err, sentinel) {
-		t.Errorf("err = %v", err)
-	}
-}
-
-func TestAggregateAndNestErrorPropagates(t *testing.T) {
-	sentinel := errors.New("boom")
-	src := &Source{Name: "b", Out: Schema{"g", "v"},
-		BatchFn: func(*Ctx) (engine.BatchIterator, error) { return nil, sentinel }}
-	agg, err := NewAggregate(src, []string{"g"}, AggCount, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(agg); !errors.Is(err, sentinel) {
-		t.Errorf("aggregate err = %v", err)
-	}
-	n, err := NewNest(src, []string{"g"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(n); !errors.Is(err, sentinel) {
-		t.Errorf("nest err = %v", err)
 	}
 }

@@ -2,8 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"repro/internal/engines/engine"
 	"repro/internal/value"
@@ -70,480 +68,6 @@ func (it *distinctIter) NextBatch(dst *value.Batch) (int, error) {
 }
 
 func (it *distinctIter) Close() { it.in.Close() }
-
-// Limit truncates the stream after N tuples.
-type Limit struct {
-	In Node
-	N  int
-}
-
-func (l *Limit) Schema() Schema   { return l.In.Schema() }
-func (l *Limit) Label() string    { return fmt.Sprintf("Limit[%d]", l.N) }
-func (l *Limit) Children() []Node { return []Node{l.In} }
-func (l *Limit) Open(ec *Ctx) (engine.BatchIterator, error) {
-	in, err := openNode(ec, l.In)
-	if err != nil {
-		return nil, err
-	}
-	return &limitIter{in: in, left: l.N}, nil
-}
-
-type limitIter struct {
-	in   engine.BatchIterator
-	left int
-}
-
-func (it *limitIter) NextBatch(dst *value.Batch) (int, error) {
-	dst.Reset()
-	if it.left <= 0 {
-		return 0, nil
-	}
-	n, err := it.in.NextBatch(dst)
-	if err != nil {
-		return 0, err
-	}
-	if n > it.left {
-		dst.Truncate(it.left)
-		n = it.left
-	}
-	it.left -= n
-	return n, nil
-}
-func (it *limitIter) Close() { it.in.Close() }
-
-// Sort orders the stream by the named columns (ascending by value.Compare;
-// set Desc[i] for descending). Sorting materializes the input.
-type Sort struct {
-	In   Node
-	By   []string
-	Desc []bool
-}
-
-func (s *Sort) Schema() Schema   { return s.In.Schema() }
-func (s *Sort) Label() string    { return "Sort[" + strings.Join(s.By, ",") + "]" }
-func (s *Sort) Children() []Node { return []Node{s.In} }
-func (s *Sort) Open(ec *Ctx) (engine.BatchIterator, error) {
-	pos := make([]int, len(s.By))
-	for i, c := range s.By {
-		p := s.In.Schema().Pos(c)
-		if p < 0 {
-			return nil, fmt.Errorf("exec: sort column %q not in schema %v", c, s.In.Schema())
-		}
-		pos[i] = p
-	}
-	in, err := openNode(ec, s.In)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := engine.DrainBatches(in)
-	if err != nil {
-		return nil, err
-	}
-	sort.SliceStable(rows, func(a, b int) bool {
-		for i, p := range pos {
-			c := value.Compare(rows[a][p], rows[b][p])
-			if i < len(s.Desc) && s.Desc[i] {
-				c = -c
-			}
-			if c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
-	return engine.NewSliceBatchIterator(rows), nil
-}
-
-// AggFunc enumerates the supported aggregates.
-type AggFunc string
-
-const (
-	AggCount AggFunc = "count"
-	AggSum   AggFunc = "sum"
-	AggMin   AggFunc = "min"
-	AggMax   AggFunc = "max"
-	AggAvg   AggFunc = "avg"
-)
-
-// Aggregate groups by the named columns and computes one aggregate over
-// another column. Output schema: groupBy columns followed by "agg".
-type Aggregate struct {
-	In      Node
-	GroupBy []string
-	Func    AggFunc
-	Over    string // ignored for count
-	out     Schema
-}
-
-// NewAggregate builds a grouped aggregation.
-func NewAggregate(in Node, groupBy []string, fn AggFunc, over string) (*Aggregate, error) {
-	for _, c := range groupBy {
-		if in.Schema().Pos(c) < 0 {
-			return nil, fmt.Errorf("exec: group column %q not in schema %v", c, in.Schema())
-		}
-	}
-	if fn != AggCount {
-		if in.Schema().Pos(over) < 0 {
-			return nil, fmt.Errorf("exec: aggregate column %q not in schema %v", over, in.Schema())
-		}
-	}
-	switch fn {
-	case AggCount, AggSum, AggMin, AggMax, AggAvg:
-	default:
-		return nil, fmt.Errorf("exec: unknown aggregate %q", fn)
-	}
-	out := append(Schema{}, groupBy...)
-	out = append(out, "agg")
-	return &Aggregate{In: in, GroupBy: groupBy, Func: fn, Over: over, out: out}, nil
-}
-
-func (a *Aggregate) Schema() Schema { return a.out }
-func (a *Aggregate) Label() string {
-	return fmt.Sprintf("Aggregate[%s(%s) by %v]", a.Func, a.Over, a.GroupBy)
-}
-func (a *Aggregate) Children() []Node { return []Node{a.In} }
-
-func (a *Aggregate) Open(ec *Ctx) (engine.BatchIterator, error) {
-	in, err := openNode(ec, a.In)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := engine.DrainBatches(in)
-	if err != nil {
-		return nil, err
-	}
-	gpos := make([]int, len(a.GroupBy))
-	for i, c := range a.GroupBy {
-		gpos[i] = a.In.Schema().Pos(c)
-	}
-	opos := -1
-	if a.Func != AggCount {
-		opos = a.In.Schema().Pos(a.Over)
-	}
-	type acc struct {
-		key      value.Tuple
-		count    int64
-		sum      float64
-		min, max value.Value
-	}
-	groups := map[string]*acc{}
-	var order []string
-	for _, r := range rows {
-		key := make(value.Tuple, len(gpos))
-		for i, p := range gpos {
-			key[i] = r[p]
-		}
-		k := key.Key()
-		g := groups[k]
-		if g == nil {
-			g = &acc{key: key}
-			groups[k] = g
-			order = append(order, k)
-		}
-		g.count++
-		if opos >= 0 {
-			v := r[opos]
-			switch x := v.(type) {
-			case value.Int:
-				g.sum += float64(x)
-			case value.Float:
-				g.sum += float64(x)
-			}
-			if g.min == nil || value.Compare(v, g.min) < 0 {
-				g.min = v
-			}
-			if g.max == nil || value.Compare(v, g.max) > 0 {
-				g.max = v
-			}
-		}
-	}
-	out := make([]value.Tuple, 0, len(groups))
-	for _, k := range order {
-		g := groups[k]
-		var av value.Value
-		switch a.Func {
-		case AggCount:
-			av = value.Int(g.count)
-		case AggSum:
-			av = value.Float(g.sum)
-		case AggAvg:
-			av = value.Float(g.sum / float64(g.count))
-		case AggMin:
-			av = g.min
-		case AggMax:
-			av = g.max
-		}
-		if av == nil {
-			av = value.Null{}
-		}
-		out = append(out, append(g.key.Clone(), av))
-	}
-	return engine.NewSliceBatchIterator(out), nil
-}
-
-// Nest groups by the named columns and nests the remaining columns into a
-// value.List of tuples — the nested-relational constructor used to
-// materialize nested fragments and to build nested results. Output schema:
-// groupBy columns followed by "nested".
-type Nest struct {
-	In      Node
-	GroupBy []string
-	out     Schema
-}
-
-// NewNest builds a nesting operator.
-func NewNest(in Node, groupBy []string) (*Nest, error) {
-	for _, c := range groupBy {
-		if in.Schema().Pos(c) < 0 {
-			return nil, fmt.Errorf("exec: nest column %q not in schema %v", c, in.Schema())
-		}
-	}
-	out := append(Schema{}, groupBy...)
-	out = append(out, "nested")
-	return &Nest{In: in, GroupBy: groupBy, out: out}, nil
-}
-
-func (n *Nest) Schema() Schema   { return n.out }
-func (n *Nest) Label() string    { return fmt.Sprintf("Nest[by %v]", n.GroupBy) }
-func (n *Nest) Children() []Node { return []Node{n.In} }
-
-func (n *Nest) Open(ec *Ctx) (engine.BatchIterator, error) {
-	in, err := openNode(ec, n.In)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := engine.DrainBatches(in)
-	if err != nil {
-		return nil, err
-	}
-	gpos := make([]int, len(n.GroupBy))
-	for i, c := range n.GroupBy {
-		gpos[i] = n.In.Schema().Pos(c)
-	}
-	isGroup := map[int]bool{}
-	for _, p := range gpos {
-		isGroup[p] = true
-	}
-	var restPos []int
-	for i := range n.In.Schema() {
-		if !isGroup[i] {
-			restPos = append(restPos, i)
-		}
-	}
-	type grp struct {
-		key  value.Tuple
-		rows value.List
-	}
-	groups := map[string]*grp{}
-	var order []string
-	for _, r := range rows {
-		key := make(value.Tuple, len(gpos))
-		for i, p := range gpos {
-			key[i] = r[p]
-		}
-		k := key.Key()
-		g := groups[k]
-		if g == nil {
-			g = &grp{key: key}
-			groups[k] = g
-			order = append(order, k)
-		}
-		member := make(value.Tuple, len(restPos))
-		for i, p := range restPos {
-			member[i] = r[p]
-		}
-		g.rows = append(g.rows, member)
-	}
-	out := make([]value.Tuple, 0, len(groups))
-	for _, k := range order {
-		g := groups[k]
-		out = append(out, append(g.key.Clone(), g.rows))
-	}
-	return engine.NewSliceBatchIterator(out), nil
-}
-
-// Unnest expands a List column into one row per element; tuple elements are
-// flattened into elemCols columns appended in place of the list column.
-type Unnest struct {
-	In       Node
-	ListCol  string
-	ElemCols []string
-	out      Schema
-}
-
-// NewUnnest builds an unnesting operator.
-func NewUnnest(in Node, listCol string, elemCols []string) (*Unnest, error) {
-	if in.Schema().Pos(listCol) < 0 {
-		return nil, fmt.Errorf("exec: unnest column %q not in schema %v", listCol, in.Schema())
-	}
-	var out Schema
-	for _, c := range in.Schema() {
-		if c != listCol {
-			out = append(out, c)
-		}
-	}
-	out = append(out, elemCols...)
-	return &Unnest{In: in, ListCol: listCol, ElemCols: elemCols, out: out}, nil
-}
-
-func (u *Unnest) Schema() Schema   { return u.out }
-func (u *Unnest) Label() string    { return fmt.Sprintf("Unnest[%s]", u.ListCol) }
-func (u *Unnest) Children() []Node { return []Node{u.In} }
-
-func (u *Unnest) Open(ec *Ctx) (engine.BatchIterator, error) {
-	in, err := openNode(ec, u.In)
-	if err != nil {
-		return nil, err
-	}
-	lp := u.In.Schema().Pos(u.ListCol)
-	var keep []int
-	for i := range u.In.Schema() {
-		if i != lp {
-			keep = append(keep, i)
-		}
-	}
-	return &unnestIter{in: in, lp: lp, keep: keep, nElem: len(u.ElemCols)}, nil
-}
-
-type unnestIter struct {
-	in      engine.BatchIterator
-	lp      int
-	keep    []int
-	nElem   int
-	scratch *value.Batch
-	sPos    int
-	done    bool
-	cur     value.Tuple
-	list    value.List
-	pos     int
-}
-
-func (it *unnestIter) NextBatch(dst *value.Batch) (int, error) {
-	dst.Reset()
-	if it.scratch == nil {
-		it.scratch = value.GetBatch()
-	}
-	for !dst.Full() {
-		if it.pos < len(it.list) {
-			e := it.list[it.pos]
-			it.pos++
-			out := dst.Alloc(len(it.keep) + it.nElem)
-			for i, p := range it.keep {
-				out[i] = it.cur[p]
-			}
-			w := len(it.keep)
-			switch x := e.(type) {
-			case value.Tuple:
-				for i := 0; i < it.nElem; i++ {
-					if i < len(x) {
-						out[w+i] = x[i]
-					} else {
-						out[w+i] = value.Null{}
-					}
-				}
-			default:
-				out[w] = e
-				for i := 1; i < it.nElem; i++ {
-					out[w+i] = value.Null{}
-				}
-			}
-			continue
-		}
-		if it.sPos >= it.scratch.Len() {
-			if it.done {
-				break
-			}
-			n, err := it.in.NextBatch(it.scratch)
-			if err != nil {
-				return 0, err
-			}
-			it.sPos = 0
-			if n == 0 {
-				it.done = true
-				break
-			}
-		}
-		t := it.scratch.Row(it.sPos)
-		it.sPos++
-		it.cur = t
-		if l, isList := t[it.lp].(value.List); isList {
-			it.list = l
-		} else {
-			it.list = value.List{t[it.lp]}
-		}
-		it.pos = 0
-	}
-	return dst.Len(), nil
-}
-
-func (it *unnestIter) Close() {
-	it.in.Close()
-	if it.scratch != nil {
-		value.PutBatch(it.scratch)
-		it.scratch = nil
-		it.sPos = 0
-		it.done = true
-	}
-}
-
-// Union concatenates streams with identical schemas, opening each input
-// lazily and streaming its batches through — no materialization.
-type Union struct {
-	Inputs []Node
-}
-
-func (u *Union) Schema() Schema {
-	if len(u.Inputs) == 0 {
-		return nil
-	}
-	return u.Inputs[0].Schema()
-}
-func (u *Union) Label() string    { return fmt.Sprintf("BatchUnion[%d]", len(u.Inputs)) }
-func (u *Union) Children() []Node { return u.Inputs }
-func (u *Union) Open(ec *Ctx) (engine.BatchIterator, error) {
-	return &unionIter{u: u, ec: ec}, nil
-}
-
-type unionIter struct {
-	u   *Union
-	ec  *Ctx
-	cur engine.BatchIterator
-	idx int
-}
-
-func (it *unionIter) NextBatch(dst *value.Batch) (int, error) {
-	dst.Reset()
-	for {
-		if it.cur == nil {
-			if it.idx >= len(it.u.Inputs) {
-				return 0, nil
-			}
-			in, err := openNode(it.ec, it.u.Inputs[it.idx])
-			if err != nil {
-				return 0, err
-			}
-			it.idx++
-			it.cur = in
-		}
-		n, err := it.cur.NextBatch(dst)
-		if err != nil {
-			return 0, err
-		}
-		if n > 0 {
-			return n, nil
-		}
-		it.cur.Close()
-		it.cur = nil
-	}
-}
-
-func (it *unionIter) Close() {
-	if it.cur != nil {
-		it.cur.Close()
-		it.cur = nil
-	}
-	it.idx = len(it.u.Inputs)
-}
 
 // ExtendConsts interleaves constant columns among the input columns: the
 // output schema is Out, where positions listed in Consts carry the fixed
@@ -625,70 +149,3 @@ func (it *extendIter) NextBatch(dst *value.Batch) (int, error) {
 }
 
 func (it *extendIter) Close() { it.in.Close() }
-
-// ConstructDoc builds one document per input tuple from a field→column
-// mapping — the nested (JSON) result construction that must happen in the
-// mediator when no underlying store supports it (paper §III).
-type ConstructDoc struct {
-	In     Node
-	Fields map[string]string // document field → input column name
-	As     string            // output column name for the document
-	out    Schema
-}
-
-// NewConstructDoc builds the operator.
-func NewConstructDoc(in Node, fields map[string]string, as string) (*ConstructDoc, error) {
-	for f, c := range fields {
-		if in.Schema().Pos(c) < 0 {
-			return nil, fmt.Errorf("exec: construct field %q references unknown column %q", f, c)
-		}
-	}
-	return &ConstructDoc{In: in, Fields: fields, As: as, out: Schema{as}}, nil
-}
-
-func (c *ConstructDoc) Schema() Schema   { return c.out }
-func (c *ConstructDoc) Label() string    { return fmt.Sprintf("ConstructDoc[%d fields]", len(c.Fields)) }
-func (c *ConstructDoc) Children() []Node { return []Node{c.In} }
-
-func (c *ConstructDoc) Open(ec *Ctx) (engine.BatchIterator, error) {
-	in, err := openNode(ec, c.In)
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, 0, len(c.Fields))
-	for f := range c.Fields {
-		names = append(names, f)
-	}
-	sort.Strings(names)
-	pos := make([]int, len(names))
-	for i, f := range names {
-		pos[i] = c.In.Schema().Pos(c.Fields[f])
-	}
-	return &constructIter{in: in, names: names, pos: pos}, nil
-}
-
-type constructIter struct {
-	in    engine.BatchIterator
-	names []string
-	pos   []int
-}
-
-func (it *constructIter) NextBatch(dst *value.Batch) (int, error) {
-	n, err := it.in.NextBatch(dst)
-	if err != nil || n == 0 {
-		return n, err
-	}
-	rows := dst.Rows()
-	for i, t := range rows {
-		pairs := make([]any, 0, 2*len(it.names))
-		for j, f := range it.names {
-			pairs = append(pairs, f, value.DScalar(t[it.pos[j]]))
-		}
-		out := dst.Carve(1)
-		out[0] = value.DObj(pairs...)
-		rows[i] = out
-	}
-	return n, nil
-}
-
-func (it *constructIter) Close() { it.in.Close() }

@@ -19,8 +19,8 @@ import (
 // Cumulative semantics: an operator's time includes its children (the
 // wrapped iterator's NextBatch pulls from the child inside the timed
 // window), matching the EXPLAIN ANALYZE convention; Open-time work
-// (sort/aggregate materialization, hash-table builds that run inside a
-// child's first NextBatch) is charged to the operator that performs it.
+// (hash-table builds that run inside a child's first NextBatch) is
+// charged to the operator that performs it.
 type Profile struct {
 	mu sync.Mutex
 	m  map[Node]*OpStats
@@ -28,7 +28,7 @@ type Profile struct {
 
 // OpStats accumulates one operator's measurements. Fields are plain
 // (a plan executes single-goroutine); the map above is mutex-guarded
-// because Union opens children lazily mid-drain.
+// because a hash join opens its build input lazily mid-drain.
 type OpStats struct {
 	Time    time.Duration
 	Rows    int64

@@ -202,13 +202,6 @@ func (m *Maintainer) RegisterFragment(f *catalog.Fragment) error {
 	return nil
 }
 
-// Untrack stops maintaining a fragment (its descriptor and contents stay).
-func (m *Maintainer) Untrack(name string) {
-	m.mu.Lock()
-	delete(m.frags, name)
-	m.mu.Unlock()
-}
-
 // adopt installs a fragment's recomputed count table and incremental
 // statistics. Caller holds m.mu.
 func (m *Maintainer) adopt(f *catalog.Fragment, counts map[string]*counted) {

@@ -166,14 +166,6 @@ func (t *Trace) Root() SpanID {
 	return t.root
 }
 
-// Origin returns the trace start time.
-func (t *Trace) Origin() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.t0
-}
-
 // SetRemoteParent links the root span under a caller's span (from an
 // ingested traceparent header).
 func (t *Trace) SetRemoteParent(p SpanID) {

@@ -87,7 +87,7 @@ func ForEachHom(atoms []Atom, inst *Instance, fixed Subst, fn func(HomResult) bo
 
 // Binding is a zero-allocation view of the current match during
 // ForEachHomBind enumeration. It is only valid inside the callback; callers
-// that need to keep the match must materialize it via Subst/FactIdxSlice.
+// that need to keep the match must materialize it via Subst.
 type Binding struct {
 	hs *homSearcher
 }
@@ -131,16 +131,6 @@ func (b Binding) Subst() Subst {
 		}
 	}
 	return s
-}
-
-// FactIdxSlice materializes the per-atom fact indices as an independent
-// slice.
-func (b Binding) FactIdxSlice() []int {
-	out := make([]int, len(b.hs.factIdx))
-	for i, fi := range b.hs.factIdx {
-		out[i] = int(fi)
-	}
-	return out
 }
 
 // ForEachHomBind enumerates homomorphisms like ForEachHom, but hands the

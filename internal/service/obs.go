@@ -185,9 +185,7 @@ func newSvcObs(reg *obs.Registry, s *Service) *svcObs {
 	storeHist := reg.NewHistogram("estocada_store_latency_seconds",
 		"Per-request store access latency, measured around each delegated access.", "store")
 	for _, e := range engines {
-		if lh, ok := e.(interface{ LatencyHistogram() *obs.Histogram }); ok {
-			storeHist.Attach(lh.LatencyHistogram(), e.Name())
-		}
+		storeHist.Attach(e.LatencyHistogram(), e.Name())
 	}
 
 	// Planner plane: drift-triggered lazy re-plans and the cost-based

@@ -62,24 +62,6 @@ func (s FragmentStats) Selectivity(col int) float64 {
 	return 1 / float64(s.DistinctAt(col))
 }
 
-// JoinCard estimates the natural-join cardinality of two intermediate
-// results sharing one column, using the System-R containment assumption:
-// |L ⋈ R| = |L|·|R| / max(V(L,c), V(R,c)).
-func JoinCard(leftCard, rightCard float64, leftDistinct, rightDistinct int64) float64 {
-	d := leftDistinct
-	if rightDistinct > d {
-		d = rightDistinct
-	}
-	if d < 1 {
-		d = 1
-	}
-	card := leftCard * rightCard / float64(d)
-	if card < 0 {
-		card = 0
-	}
-	return card
-}
-
 // Provider resolves statistics for a view/fragment predicate.
 type Provider interface {
 	StatsFor(pred string) (FragmentStats, bool)

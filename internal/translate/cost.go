@@ -15,8 +15,6 @@ import (
 	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/engines/engine"
-	"repro/internal/obs"
 	"repro/internal/pivot"
 	"repro/internal/stats"
 )
@@ -68,7 +66,7 @@ func (p *Planner) newCostModel() *costModel {
 // storeFactors derives the store's cost factors: the kind's base factors
 // with the per-request overhead scaled by the store's real latency — the
 // measured histogram p50 once enough samples exist, else the configured
-// engine.Latency model.
+// store latency model (engine.Base.RequestLatency).
 func (cm *costModel) storeFactors(name string) stats.CostFactors {
 	if f, ok := cm.stores[name]; ok {
 		return f
@@ -77,14 +75,10 @@ func (cm *costModel) storeFactors(name string) stats.CostFactors {
 	var lat time.Duration
 	if eng, ok := cm.p.Stores.Engine(name); ok {
 		kind = eng.Kind()
-		if lp, ok := eng.(interface{ RequestLatency() time.Duration }); ok {
-			lat = lp.RequestLatency()
-		}
-		if hp, ok := eng.(interface{ LatencyHistogram() *obs.Histogram }); ok {
-			if h := hp.LatencyHistogram(); h != nil && h.Count() >= minLatencySamples {
-				if p50 := h.Snapshot().Quantile(0.5); p50 > 0 {
-					lat = time.Duration(p50 * float64(time.Second))
-				}
+		lat = eng.RequestLatency()
+		if h := eng.LatencyHistogram(); h.Count() >= minLatencySamples {
+			if p50 := h.Snapshot().Quantile(0.5); p50 > 0 {
+				lat = time.Duration(p50 * float64(time.Second))
 			}
 		}
 	}
@@ -100,16 +94,6 @@ func (cm *costModel) storeFactors(name string) stats.CostFactors {
 	}
 	cm.stores[name] = f
 	return f
-}
-
-// delegable reports whether the fragment's accesses can merge into a
-// pushed-down native subquery on its store.
-func (cm *costModel) delegable(f *catalog.Fragment) bool {
-	if cm.p.DisableDelegation || f.Access != "" {
-		return false
-	}
-	eng, ok := cm.p.Stores.Engine(f.Store)
-	return ok && eng.Capabilities().Has(engine.CapJoin)
 }
 
 // orderState tracks the greedy walk: which variables are bound, the
@@ -142,7 +126,7 @@ func (st *orderState) advance(a pivot.Atom, f *catalog.Fragment, c clauseChoice,
 		st.bound[v] = true
 	}
 	st.prevStore = f.Store
-	st.prevDelegable = cm.delegable(f)
+	st.prevDelegable = cm.p.delegable(f)
 	st.placed++
 }
 
@@ -321,7 +305,7 @@ func (cm *costModel) scoreAtom(r pivot.CQ, frags []*catalog.Fragment, ai int, st
 	// subquery, saving a round trip: the per-delegation round-trip term
 	// (replacing the old flat per-delegation credit). Step costs always
 	// include at least one RequestOverhead, so this never goes negative.
-	if st.prevDelegable && st.prevStore == f.Store && cm.delegable(f) {
+	if st.prevDelegable && st.prevStore == f.Store && cm.p.delegable(f) {
 		c.stepCost -= factors.RequestOverhead
 		if c.stepCost < 0 {
 			c.stepCost = 0
@@ -495,7 +479,7 @@ func (cm *costModel) orderExhaustive(r pivot.CQ, frags []*catalog.Fragment, seed
 			}
 			st.card = c.outCard
 			st.prevStore = frags[ai].Store
-			st.prevDelegable = cm.delegable(frags[ai])
+			st.prevDelegable = cm.p.delegable(frags[ai])
 			st.placed++
 			used[ai] = true
 			cur = append(cur, ai)

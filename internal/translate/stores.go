@@ -9,18 +9,12 @@
 package translate
 
 import (
-	"context"
-	"fmt"
-
-	"repro/internal/catalog"
 	"repro/internal/engines/docstore"
 	"repro/internal/engines/engine"
 	"repro/internal/engines/kvstore"
 	"repro/internal/engines/parstore"
 	"repro/internal/engines/relstore"
 	"repro/internal/engines/textstore"
-	"repro/internal/obs"
-	"repro/internal/value"
 )
 
 // Stores registers the engine instances by name, typed per kind so the
@@ -31,6 +25,8 @@ type Stores struct {
 	Doc  map[string]*docstore.Store
 	Text map[string]*textstore.Store
 	Par  map[string]*parstore.Store
+	// all holds every store, whatever its kind.
+	all map[string]engine.Engine
 }
 
 // NewStores returns an empty registry.
@@ -41,164 +37,36 @@ func NewStores() *Stores {
 		Doc:  map[string]*docstore.Store{},
 		Text: map[string]*textstore.Store{},
 		Par:  map[string]*parstore.Store{},
+		all:  map[string]engine.Engine{},
 	}
 }
 
 // AddRel registers a relational store.
-func (s *Stores) AddRel(st *relstore.Store) { s.Rel[st.Name()] = st }
+func (s *Stores) AddRel(st *relstore.Store) { s.Rel[st.Name()], s.all[st.Name()] = st, st }
 
 // AddKV registers a key-value store.
-func (s *Stores) AddKV(st *kvstore.Store) { s.KV[st.Name()] = st }
+func (s *Stores) AddKV(st *kvstore.Store) { s.KV[st.Name()], s.all[st.Name()] = st, st }
 
 // AddDoc registers a document store.
-func (s *Stores) AddDoc(st *docstore.Store) { s.Doc[st.Name()] = st }
+func (s *Stores) AddDoc(st *docstore.Store) { s.Doc[st.Name()], s.all[st.Name()] = st, st }
 
 // AddText registers a full-text store.
-func (s *Stores) AddText(st *textstore.Store) { s.Text[st.Name()] = st }
+func (s *Stores) AddText(st *textstore.Store) { s.Text[st.Name()], s.all[st.Name()] = st, st }
 
 // AddPar registers a parallel store.
-func (s *Stores) AddPar(st *parstore.Store) { s.Par[st.Name()] = st }
+func (s *Stores) AddPar(st *parstore.Store) { s.Par[st.Name()], s.all[st.Name()] = st, st }
 
 // Engine returns the generic engine interface for a store name.
 func (s *Stores) Engine(name string) (engine.Engine, bool) {
-	if st, ok := s.Rel[name]; ok {
-		return st, true
-	}
-	if st, ok := s.KV[name]; ok {
-		return st, true
-	}
-	if st, ok := s.Doc[name]; ok {
-		return st, true
-	}
-	if st, ok := s.Text[name]; ok {
-		return st, true
-	}
-	if st, ok := s.Par[name]; ok {
-		return st, true
-	}
-	return nil, false
+	e, ok := s.all[name]
+	return e, ok
 }
 
 // All returns every registered engine.
 func (s *Stores) All() []engine.Engine {
-	var out []engine.Engine
-	for _, st := range s.Rel {
-		out = append(out, st)
-	}
-	for _, st := range s.KV {
-		out = append(out, st)
-	}
-	for _, st := range s.Doc {
-		out = append(out, st)
-	}
-	for _, st := range s.Text {
-		out = append(out, st)
-	}
-	for _, st := range s.Par {
-		out = append(out, st)
+	out := make([]engine.Engine, 0, len(s.all))
+	for _, e := range s.all {
+		out = append(out, e)
 	}
 	return out
-}
-
-// KVKey renders a value as a key-value store key. The loader and the
-// planner must agree on this encoding.
-func KVKey(v value.Value) string { return v.Key() }
-
-// timed wraps a successfully opened store access so its wall time (open
-// to stream end) lands in the store's latency histogram — the shared
-// tail of every accessBatch branch.
-func timed(h *obs.Histogram, it engine.BatchIterator, err error) (engine.BatchIterator, error) {
-	if err != nil {
-		return nil, err
-	}
-	return engine.TimeBatches(h, it), nil
-}
-
-// accessBatch issues a single-fragment access with equality filters on
-// view columns, on each store's native batch path. This is the uniform
-// entry point BindJoin fetches and leaf sources go through. ctx bounds
-// the store's simulated service time (and injected stalls); extra, when
-// non-nil, additionally attributes the store's work to the calling
-// execution. Every successful access is timed into the owning store's
-// per-request latency histogram.
-func (s *Stores) accessBatch(ctx context.Context, frag *catalog.Fragment, filters []engine.EqFilter, extra *engine.Counters) (engine.BatchIterator, error) {
-	switch frag.Layout.Kind {
-	case catalog.LayoutRel:
-		st, ok := s.Rel[frag.Store]
-		if !ok {
-			return nil, fmt.Errorf("translate: no relational store %q", frag.Store)
-		}
-		it, err := st.SelectBatchCounted(ctx, frag.Layout.Collection, filters, nil, extra)
-		return timed(st.LatencyHistogram(), it, err)
-
-	case catalog.LayoutPar:
-		st, ok := s.Par[frag.Store]
-		if !ok {
-			return nil, fmt.Errorf("translate: no parallel store %q", frag.Store)
-		}
-		it, err := st.SelectBatchCounted(ctx, frag.Layout.Collection, filters, nil, extra)
-		return timed(st.LatencyHistogram(), it, err)
-
-	case catalog.LayoutKV:
-		st, ok := s.KV[frag.Store]
-		if !ok {
-			return nil, fmt.Errorf("translate: no key-value store %q", frag.Store)
-		}
-		var key value.Value
-		rest := make([]engine.EqFilter, 0, len(filters))
-		for _, f := range filters {
-			if f.Col == frag.Layout.KeyCol {
-				key = f.Val
-			} else {
-				rest = append(rest, f)
-			}
-		}
-		if key == nil {
-			return nil, fmt.Errorf("translate: key-value fragment %q accessed without its key (column %d)",
-				frag.Name, frag.Layout.KeyCol)
-		}
-		kit, err := st.GetBatchCounted(ctx, frag.Layout.Collection, KVKey(key), extra)
-		it, err := timed(st.LatencyHistogram(), kit, err)
-		if err != nil {
-			return nil, err
-		}
-		if len(rest) == 0 {
-			return it, nil
-		}
-		return &engine.BatchFilter{In: it, Filters: rest}, nil
-
-	case catalog.LayoutDoc:
-		st, ok := s.Doc[frag.Store]
-		if !ok {
-			return nil, fmt.Errorf("translate: no document store %q", frag.Store)
-		}
-		pf := make([]docstore.PathFilter, 0, len(filters))
-		for _, f := range filters {
-			if f.Col < 0 || f.Col >= len(frag.Layout.DocPaths) {
-				return nil, fmt.Errorf("translate: filter column %d outside doc layout of %q", f.Col, frag.Name)
-			}
-			pf = append(pf, docstore.PathFilter{Path: frag.Layout.DocPaths[f.Col], Val: f.Val})
-		}
-		it, err := st.FindTuplesBatchCounted(ctx, frag.Layout.Collection, pf, frag.Layout.DocPaths, extra)
-		return timed(st.LatencyHistogram(), it, err)
-
-	case catalog.LayoutText:
-		st, ok := s.Text[frag.Store]
-		if !ok {
-			return nil, fmt.Errorf("translate: no full-text store %q", frag.Store)
-		}
-		q := textstore.Query{Project: frag.Layout.Columns}
-		for _, f := range filters {
-			if f.Col < 0 || f.Col >= len(frag.Layout.Columns) {
-				return nil, fmt.Errorf("translate: filter column %d outside text layout of %q", f.Col, frag.Name)
-			}
-			q.Fields = append(q.Fields, textstore.FieldFilter{
-				Field: frag.Layout.Columns[f.Col], Val: f.Val})
-		}
-		it, err := st.SearchBatchCounted(ctx, frag.Layout.Collection, q, extra)
-		return timed(st.LatencyHistogram(), it, err)
-
-	default:
-		return nil, fmt.Errorf("translate: unsupported layout %v", frag.Layout.Kind)
-	}
 }

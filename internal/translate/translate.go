@@ -1,6 +1,7 @@
 package translate
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -141,6 +142,7 @@ func (p *Planner) BuildOrdered(r pivot.CQ, order []int) (*Plan, error) { return 
 
 func (p *Planner) build(r pivot.CQ, orderHint []int) (*Plan, error) {
 	frags := make([]*catalog.Fragment, len(r.Body))
+	conts := make([]*Container, len(r.Body))
 	for i, a := range r.Body {
 		f, ok := p.Catalog.Get(a.Pred)
 		if !ok {
@@ -149,7 +151,11 @@ func (p *Planner) build(r pivot.CQ, orderHint []int) (*Plan, error) {
 		if a.Arity() != f.View.Def.Head.Arity() {
 			return nil, fmt.Errorf("translate: atom %v arity mismatch with fragment %q", a, f.Name)
 		}
-		frags[i] = f
+		c, err := p.Stores.Container(f)
+		if err != nil {
+			return nil, err
+		}
+		frags[i], conts[i] = f, c
 	}
 	cm := p.newCostModel()
 	var (
@@ -172,7 +178,7 @@ func (p *Planner) build(r pivot.CQ, orderHint []int) (*Plan, error) {
 		choiceAt[ai] = choices[i]
 	}
 
-	groups := p.groupForDelegation(r, frags, order)
+	groups := p.groupForDelegation(frags, order)
 	var root exec.Node
 	delegations := 0
 	delegated := map[int]bool{}
@@ -189,13 +195,13 @@ func (p *Planner) build(r pivot.CQ, orderHint []int) (*Plan, error) {
 			ai := g[0]
 			ch := choiceAt[ai]
 			if root != nil && ch.op == opBind {
-				root, err = p.buildBindJoin(root, r.Body[ai], frags[ai], ch.bindPos)
+				root, err = p.buildBindJoin(root, r.Body[ai], frags[ai], conts[ai], ch.bindPos)
 				if err != nil {
 					return nil, err
 				}
 				continue
 			}
-			node, err = p.buildAtomLeaf(r.Body[ai], frags[ai])
+			node, err = p.buildAtomLeaf(r.Body[ai], frags[ai], conts[ai])
 			if err == nil && root != nil {
 				// Hash join, build side = the estimated-smaller input (the
 				// right argument is the materialized one).
@@ -322,25 +328,14 @@ func (p *Planner) ChooseBest(rewritings []pivot.CQ) (*Plan, []*Plan, error) {
 }
 
 // groupForDelegation merges maximal runs of consecutive (in feasible order)
-// atoms living in the same CapJoin-capable store into delegation groups.
-func (p *Planner) groupForDelegation(r pivot.CQ, frags []*catalog.Fragment, order []int) [][]int {
+// delegable atoms living in the same store into delegation groups.
+func (p *Planner) groupForDelegation(frags []*catalog.Fragment, order []int) [][]int {
 	var groups [][]int
-	if p.DisableDelegation {
-		for _, ai := range order {
-			groups = append(groups, []int{ai})
-		}
-		return groups
-	}
 	for _, ai := range order {
-		f := frags[ai]
-		eng, ok := p.Stores.Engine(f.Store)
-		joinable := ok && eng.Capabilities().Has(engine.CapJoin) && f.Access == ""
-		if joinable && len(groups) > 0 {
-			last := groups[len(groups)-1]
-			lastFrag := frags[last[0]]
-			lastEng, lok := p.Stores.Engine(lastFrag.Store)
-			if lok && lastFrag.Store == f.Store && lastEng.Capabilities().Has(engine.CapJoin) && lastFrag.Access == "" && len(last) >= 1 {
-				groups[len(groups)-1] = append(last, ai)
+		if n := len(groups); n > 0 && p.delegable(frags[ai]) {
+			last := groups[n-1]
+			if prev := frags[last[0]]; prev.Store == frags[ai].Store && p.delegable(prev) {
+				groups[n-1] = append(last, ai)
 				continue
 			}
 		}
@@ -349,20 +344,30 @@ func (p *Planner) groupForDelegation(r pivot.CQ, frags []*catalog.Fragment, orde
 	return groups
 }
 
+// delegable reports whether the fragment's accesses can merge into a
+// pushed-down native subquery on its store.
+func (p *Planner) delegable(f *catalog.Fragment) bool {
+	if p.DisableDelegation || f.Access != "" {
+		return false
+	}
+	eng, ok := p.Stores.Engine(f.Store)
+	return ok && eng.Capabilities().Has(engine.CapJoin)
+}
+
 // buildAtomLeaf creates a Source for one atom: constants become pushed
 // filters, repeated variables residual column equalities, and the output
 // schema names the first occurrence of each variable.
-func (p *Planner) buildAtomLeaf(a pivot.Atom, f *catalog.Fragment) (exec.Node, error) {
+func (p *Planner) buildAtomLeaf(a pivot.Atom, f *catalog.Fragment, c *Container) (exec.Node, error) {
 	rawSchema, filters, eqCols, keep, err := atomAccessSpec(a)
 	if err != nil {
 		return nil, err
 	}
-	frag := f
+	store := f.Store
 	src := &exec.Source{
 		Name: fmt.Sprintf("%s.access(%s)", f.Store, f.Name),
 		Out:  rawSchema,
 		BatchFn: func(ec *exec.Ctx) (engine.BatchIterator, error) {
-			return p.Stores.accessBatch(ec.Ctx(), frag, filters, ec.StoreCounters(frag.Store))
+			return c.Open(ec.Ctx(), filters, ec.StoreCounters(store))
 		},
 	}
 	var node exec.Node = src
@@ -417,7 +422,7 @@ func atomAccessSpec(a pivot.Atom) (exec.Schema, []engine.EqFilter, [][2]int, []i
 // access pattern's variable 'b' positions plus any planner-chosen
 // selective join columns) are fed from the left plan per distinct key;
 // constants are pushed as filters.
-func (p *Planner) buildBindJoin(left exec.Node, a pivot.Atom, f *catalog.Fragment, bindAt []int) (exec.Node, error) {
+func (p *Planner) buildBindJoin(left exec.Node, a pivot.Atom, f *catalog.Fragment, c *Container, bindAt []int) (exec.Node, error) {
 	rawSchema, constFilters, eqCols, keep, err := atomAccessSpec(a)
 	if err != nil {
 		return nil, err
@@ -442,13 +447,13 @@ func (p *Planner) buildBindJoin(left exec.Node, a pivot.Atom, f *catalog.Fragmen
 	for i, pos := range keep {
 		keepNames[i] = rawSchema[pos]
 	}
-	frag := f
+	store := f.Store
 	fetch := func(ec *exec.Ctx, bind value.Tuple) (engine.BatchIterator, error) {
 		filters := append([]engine.EqFilter(nil), constFilters...)
 		for i, pos := range bindPos {
 			filters = append(filters, engine.EqFilter{Col: pos, Val: bind[i]})
 		}
-		it, err := p.Stores.accessBatch(ec.Ctx(), frag, filters, ec.StoreCounters(frag.Store))
+		it, err := c.Open(ec.Ctx(), filters, ec.StoreCounters(store))
 		if err != nil {
 			return nil, err
 		}
@@ -500,25 +505,29 @@ func (p *Planner) buildDelegatedGroup(r pivot.CQ, frags []*catalog.Fragment, gro
 	}
 	dq.Out = outVars
 
-	var open func(ec *exec.Ctx) (engine.BatchIterator, error)
-	if st, ok := p.Stores.Rel[storeName]; ok {
-		open = func(ec *exec.Ctx) (engine.BatchIterator, error) {
-			it, err := st.QueryBatchCounted(ec.Ctx(), dq, ec.StoreCounters(storeName))
-			return timed(st.LatencyHistogram(), it, err)
-		}
-	} else if st, ok := p.Stores.Par[storeName]; ok {
-		open = func(ec *exec.Ctx) (engine.BatchIterator, error) {
-			it, err := st.QueryBatchCounted(ec.Ctx(), dq, ec.StoreCounters(storeName))
-			return timed(st.LatencyHistogram(), it, err)
-		}
-	} else {
+	eng, _ := p.Stores.Engine(storeName)
+	st, ok := eng.(delegator)
+	if !ok {
 		return nil, fmt.Errorf("translate: store %q cannot take delegated joins", storeName)
 	}
 	return &exec.Source{
-		Name:    fmt.Sprintf("%s.delegate(%d atoms)", storeName, len(group)),
-		Out:     exec.Schema(outVars),
-		BatchFn: open,
+		Name: fmt.Sprintf("%s.delegate(%d atoms)", storeName, len(group)),
+		Out:  exec.Schema(outVars),
+		BatchFn: func(ec *exec.Ctx) (engine.BatchIterator, error) {
+			it, err := st.QueryBatchCounted(ec.Ctx(), dq, ec.StoreCounters(storeName))
+			if err != nil {
+				return nil, err
+			}
+			return engine.TimeBatches(st.LatencyHistogram(), it), nil
+		},
 	}, nil
+}
+
+// delegator is a store that evaluates whole conjunctive subqueries
+// (CapJoin): the relational and the parallel store.
+type delegator interface {
+	engine.Engine
+	QueryBatchCounted(ctx context.Context, q engine.DQuery, extra *engine.Counters) (engine.BatchIterator, error)
 }
 
 // buildHead projects the head variables and appends constant head columns.

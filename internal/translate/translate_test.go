@@ -2,6 +2,7 @@ package translate
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -335,7 +336,11 @@ func TestAccessErrorPaths(t *testing.T) {
 	// KV access without its key must fail at access level too (belt and
 	// braces under the feasibility check).
 	kvFrag, _ := p.Catalog.Get("FKV")
-	if _, err := p.Stores.accessBatch(context.Background(), kvFrag, nil, nil); err == nil {
+	kv, err := p.Stores.Container(kvFrag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := kv.Open(context.Background(), nil, nil); err == nil {
 		t.Error("KV access without key accepted")
 	}
 	// Unknown store name.
@@ -343,8 +348,8 @@ func TestAccessErrorPaths(t *testing.T) {
 		Name: "FGhost", Dataset: "d", View: idView("FGhost", "G", 1), Store: "nowhere",
 		Layout: catalog.Layout{Kind: catalog.LayoutRel, Collection: "g", Columns: []string{"a"}},
 	}
-	if _, err := p.Stores.accessBatch(context.Background(), ghost, nil, nil); err == nil {
-		t.Error("access through unknown store accepted")
+	if _, err := p.Stores.Container(ghost); !errors.Is(err, ErrUnknownStore) {
+		t.Errorf("container on unknown store: err = %v, want ErrUnknownStore", err)
 	}
 }
 
