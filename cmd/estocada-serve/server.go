@@ -186,7 +186,7 @@ func statusFor(err error) (int, string) {
 		return http.StatusNotFound, "unknown_cursor"
 	case errors.Is(err, errUnknownTrace):
 		return http.StatusNotFound, "unknown_trace"
-	case errors.Is(err, errBadRequest):
+	case errors.Is(err, errBadRequest), errors.Is(err, core.ErrBadArgument):
 		return http.StatusBadRequest, "bad_request"
 	case errors.Is(err, service.ErrResultTruncated):
 		return http.StatusUnprocessableEntity, "result_truncated"

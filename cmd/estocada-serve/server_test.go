@@ -164,6 +164,12 @@ func TestPrepareExecute(t *testing.T) {
 		t.Errorf("bad-arity execute: status %d code %q", code, errCode(t, resp))
 	}
 
+	// A JSON null is no constant a parameter could stand for → 400.
+	code, resp = post(t, srv, "/execute", `{"stmt":`+itoa(stmt)+`,"args":[null]}`)
+	if code != http.StatusBadRequest || errCode(t, resp) != "bad_request" {
+		t.Errorf("null-argument execute: status %d code %q", code, errCode(t, resp))
+	}
+
 	// Statements release over HTTP: /close {"stmt":...} unregisters.
 	if code, _ := post(t, srv, "/close", `{"stmt":`+itoa(stmt)+`}`); code != http.StatusOK {
 		t.Fatalf("close stmt = %d", code)

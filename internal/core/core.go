@@ -337,12 +337,7 @@ func (s *System) QueryRows(ctx context.Context, q pivot.CQ) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Binding builds the physical plan and caches it under the empty
-	// parameter key, so ExecRows below only opens it.
-	plan, err := p.bind(nil)
-	if err != nil {
-		return nil, err
-	}
+	plan := p.state.Load().plan
 	rep := &Report{
 		Rewriting:    plan.Rewriting,
 		PlanExplain:  plan.Explain(),

@@ -137,7 +137,11 @@ func systemAnswers(t *testing.T, s *System, q pivot.CQ) map[string]bool {
 	for _, row := range res.Rows {
 		args := make([]pivot.Term, len(row))
 		for i, cell := range row {
-			args[i] = valueToConst(cell)
+			n, ok := cell.(value.Int)
+			if !ok {
+				t.Fatalf("query %v: non-integer answer cell %v", q, cell)
+			}
+			args[i] = pivot.CInt(int64(n))
 		}
 		out[pivot.Atom{Pred: q.Head.Pred, Args: args}.Key()] = true
 	}

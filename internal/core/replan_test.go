@@ -119,7 +119,7 @@ func TestDriftReplansPreparedExactlyOnce(t *testing.T) {
 		t.Fatalf("replans settled = %d, want 1", got)
 	}
 
-	// A no-drift epoch move keeps the warm bound-plan cache generation.
+	// A no-drift epoch move keeps the current plan generation.
 	bumpDataEpoch(t, s)
 	if _, err := p.bind([]value.Value{value.Str("z1")}); err != nil {
 		t.Fatal(err)

@@ -15,10 +15,9 @@ type Rows struct {
 	*exec.Rows
 	attr *engine.ExecCounters
 	rep  *Report
-	// prof/root carry the opt-in EXPLAIN ANALYZE profiler (set when the
+	// prof carries the opt-in EXPLAIN ANALYZE profiler (set when the
 	// execution was opened under obs.WithProfile).
 	prof *exec.Profile
-	root exec.Node
 	// plan is the physical plan this cursor executes, kept for planner
 	// provenance (clause order, per-clause scores, operator choices).
 	plan *translate.Plan
@@ -36,13 +35,9 @@ func (r *Rows) Report() *Report { return r.rep }
 // PlanProvenance reports how the planner ordered and operator-assigned the
 // plan this cursor executes: chosen clause order, per-clause scores,
 // bind-vs-hash choices with build sides, and the stats epoch the plan was
-// costed under. Nil when no plan is attached.
-func (r *Rows) PlanProvenance() *translate.Provenance {
-	if r.plan == nil {
-		return nil
-	}
-	return r.plan.Provenance()
-}
+// costed under. It is shared by every execution of the plan: callers
+// must not modify it.
+func (r *Rows) PlanProvenance() *translate.Provenance { return r.plan.Provenance() }
 
 // Profile renders the per-operator EXPLAIN ANALYZE tree, or nil when the
 // execution was not profiled. Complete once the cursor is drained or
@@ -51,5 +46,5 @@ func (r *Rows) Profile() *exec.OpProfile {
 	if r.prof == nil {
 		return nil
 	}
-	return r.prof.Tree(r.root)
+	return r.prof.Tree(r.plan.Root)
 }

@@ -61,8 +61,8 @@ func TestQueryRowsMatchesQuery(t *testing.T) {
 	}
 }
 
-// Prepared.ExecRows must agree with Exec and keep the bound-plan cache
-// behavior (second execution of the same binding hits the cache).
+// Prepared.ExecRows must agree with Exec, for fresh and repeated
+// arguments alike.
 func TestPreparedExecRowsMatchesExec(t *testing.T) {
 	s := testSystem(t)
 	q := pivot.NewCQ(atom("Q", v("u"), v("k"), v("val")),

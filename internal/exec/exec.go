@@ -18,6 +18,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -64,6 +65,35 @@ type Ctx struct {
 	// Span is the parent span exec-emitted spans attach under
 	// (typically the request trace's root).
 	Span obs.SpanID
+	// Args are the execution's arguments: the plan's slot Arg(i) reads
+	// Args[i] when it opens. A plan with slots must be opened with an
+	// argument for each.
+	Args []value.Value
+}
+
+// Arg is a slot of a plan: a value the planner places where a constant
+// goes and that stands for the execution's argument Ctx.Args[i]. The
+// operators that hold constants fill their slots (Ctx.Fill) when they
+// open, so a slot never reaches a store or a row.
+type Arg int
+
+// Kind implements value.Value: a slot has no kind of its own.
+func (Arg) Kind() value.Kind { return -1 }
+
+// Key implements value.Value.
+func (a Arg) Key() string { return "?" + strconv.Itoa(int(a)) }
+
+// String renders the slot as $1, $2, ... in plan explanations.
+func (a Arg) String() string { return "$" + strconv.Itoa(int(a)+1) }
+
+// Fill returns v, or the execution's argument when v is a slot.
+//
+//lint:hot
+func (c *Ctx) Fill(v value.Value) value.Value {
+	if a, ok := v.(Arg); ok {
+		return c.Args[a]
+	}
+	return v
 }
 
 // Err reports the cancellation state. Nil-receiver safe.

@@ -71,8 +71,9 @@ func (it *distinctIter) Close() { it.in.Close() }
 
 // ExtendConsts interleaves constant columns among the input columns: the
 // output schema is Out, where positions listed in Consts carry the fixed
-// value and the remaining positions take the input columns in order. The
-// planner uses it to restore constant head columns after projection.
+// value (a slot, Arg, is filled when the node opens) and the remaining
+// positions take the input columns in order. The planner uses it to
+// restore constant and parameter head columns after projection.
 type ExtendConsts struct {
 	In     Node
 	Consts map[int]value.Value
@@ -117,12 +118,13 @@ func (e *ExtendConsts) Open(ec *Ctx) (engine.BatchIterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &extendIter{in: in, e: e}, nil
+	return &extendIter{in: in, e: e, ec: ec}, nil
 }
 
 type extendIter struct {
 	in engine.BatchIterator
 	e  *ExtendConsts
+	ec *Ctx // fills the slots
 }
 
 func (it *extendIter) NextBatch(dst *value.Batch) (int, error) {
@@ -134,7 +136,7 @@ func (it *extendIter) NextBatch(dst *value.Batch) (int, error) {
 	for i, t := range rows {
 		out := dst.Carve(len(it.e.out))
 		for j, p := range it.e.constPos {
-			out[p] = it.e.constVal[j]
+			out[p] = it.ec.Fill(it.e.constVal[j])
 		}
 		for j, p := range it.e.varPos {
 			if j < len(t) {

@@ -18,7 +18,7 @@
 //
 // Writes are a data-plane change only: they advance core.System's data
 // epoch and leave the catalog epoch alone, so prepared statements, cached
-// rewritings and bound plans all stay warm across DML (see
+// rewritings and their plans all stay warm across DML (see
 // TestDMLPreservesPlanCache).
 package maintain
 

@@ -11,7 +11,9 @@ import (
 
 // planCache is the shared, sharded rewriting cache. Entries are keyed by
 // query fingerprint and hold a *core.Prepared (the expensive PACB
-// rewriting plus its bound-plan cache). Concurrent cold misses of one
+// rewriting plus its one physical plan, whose parameters are slots
+// filled per execution): it is the mediator's only plan cache. Concurrent
+// cold misses of one
 // fingerprint coalesce onto a single rewrite (single-flight): the first
 // caller becomes the leader and runs PACB; followers wait on the entry's
 // ready channel instead of each re-running the backchase.

@@ -12,8 +12,8 @@ import (
 )
 
 // String constants that spell a key separator plus the next constant's
-// key must not make two queries share a cache entry or a bound plan: each
-// query in a pair gets its own answer.
+// key must not make two queries share a cache entry or one execution's
+// slot values: each query in a pair gets its own answer.
 func TestStringConstantsDoNotCollide(t *testing.T) {
 	sys := core.New(core.Options{})
 	sys.AddRelStore("rel")
@@ -51,7 +51,7 @@ func TestStringConstantsDoNotCollide(t *testing.T) {
 				{value.TupleOf("a,#sb", "c", "first"), value.TupleOf("a,#sb", "c", "second")},
 				{value.TupleOf("a", "b,#sc", "first"), value.TupleOf("a", "b,#sc", "second")},
 			}},
-		{"bound-plan key",
+		{"slot values",
 			[2]pivot.CQ{bodyOnly("x|#sy", "z"), bodyOnly("x", "y|#sz")},
 			[2][]value.Tuple{{value.TupleOf("first")}, {value.TupleOf("second")}}},
 	}

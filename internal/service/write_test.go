@@ -180,13 +180,15 @@ func TestDMLPreservesPlanCache(t *testing.T) {
 }
 
 // TestConcurrentWritesAndQueries exercises the stats path under load:
-// bound-plan builds read fragment statistics while DML appliers refresh
-// them. Run under -race this guards the StatsSnapshot/SetStats locking.
+// executions check the fragments' row counts for drift (and a drifted
+// one re-plans through the planner's statistics) while DML appliers
+// refresh them. Run under -race this guards the StatsSnapshot/SetStats
+// locking.
 func TestConcurrentWritesAndQueries(t *testing.T) {
 	svc := maintainedService(t, Options{})
 	ctx := context.Background()
-	// The literal canonicalizes into a bind parameter, so each Execute
-	// with a fresh value builds (and caches) a new bound plan.
+	// The literal canonicalizes into a bind parameter, so every Execute
+	// fills the one slot plan with a fresh value.
 	st, err := svc.PrepareCQ(ctx, pivot.NewCQ(
 		pivot.NewAtom("QV", v("p"), v("d")),
 		pivot.NewAtom("Visits", pivot.CStr("u00001"), v("p"), v("d"))))
@@ -209,8 +211,8 @@ func TestConcurrentWritesAndQueries(t *testing.T) {
 		done <- nil
 	}()
 	for i := 0; i < 300; i++ {
-		// Distinct parameter values force fresh bound-plan builds, which
-		// read fragment statistics through the planner.
+		// Every write moves the data epoch, so each Execute checks the
+		// fragments' statistics for drift before it opens the plan.
 		if _, err := st.Execute(ctx, value.Str(fmt.Sprintf("u%05d", 1+i%60))); err != nil {
 			t.Fatal(err)
 		}

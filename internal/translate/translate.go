@@ -69,7 +69,8 @@ type Provenance struct {
 	Clauses    []ClauseScore `json:"clauses"`
 }
 
-// Plan is an executable physical plan for one rewriting.
+// Plan is an executable physical plan for one rewriting. Plans are
+// immutable once built and shared by concurrent executions.
 type Plan struct {
 	// Root is the operator tree.
 	Root exec.Node
@@ -77,19 +78,14 @@ type Plan struct {
 	Rewriting pivot.CQ
 	// Cost is the estimated total cost (unitless work units).
 	Cost float64
-	// EstRows is the estimated output cardinality.
-	EstRows float64
 	// Order is the feasible atom evaluation order used.
 	Order []int
-	// Delegations counts multi-atom subqueries pushed to one store.
-	Delegations int
 	// Clauses records the per-clause scores in evaluation order.
 	Clauses []ClauseScore
-	// StatsEpoch is the data generation the plan's statistics snapshot was
-	// read under (0 when the planner has no epoch source).
-	StatsEpoch uint64
-	// FixedOrder marks plans built by the ablation baseline.
-	FixedOrder bool
+	// prov is the planner report, rendered once when the plan is built:
+	// it adds the estimated rows, the statistics epoch and the ablation
+	// flag.
+	prov *Provenance
 }
 
 // Explain renders the plan: the rewriting, the clause-by-clause planner
@@ -98,7 +94,7 @@ type Plan struct {
 func (p *Plan) Explain() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "rewriting: %s\n", p.Rewriting)
-	fmt.Fprintf(&sb, "est. cost: %.2f, est. rows: %.1f (stats epoch %d)\n", p.Cost, p.EstRows, p.StatsEpoch)
+	fmt.Fprintf(&sb, "est. cost: %.2f, est. rows: %.1f (stats epoch %d)\n", p.Cost, p.prov.EstRows, p.prov.StatsEpoch)
 	for i, c := range p.Clauses {
 		fmt.Fprintf(&sb, "  %d. %s [%s.%s] op=%s", i+1, c.Atom, c.Store, c.Fragment, c.Op)
 		if c.BuildSide != "" {
@@ -116,17 +112,10 @@ func (p *Plan) Explain() string {
 // String renders the plan (alias of Explain).
 func (p *Plan) String() string { return p.Explain() }
 
-// Provenance returns the plan's JSON-ready planner report.
-func (p *Plan) Provenance() *Provenance {
-	return &Provenance{
-		Rewriting:  p.Rewriting.String(),
-		Cost:       p.Cost,
-		EstRows:    p.EstRows,
-		StatsEpoch: p.StatsEpoch,
-		FixedOrder: p.FixedOrder,
-		Clauses:    p.Clauses,
-	}
-}
+// Provenance returns the plan's JSON-ready planner report. It is built
+// with the plan and shared by all its executions: callers must not
+// modify it.
+func (p *Plan) Provenance() *Provenance { return p.prov }
 
 // Build translates one rewriting into a plan: the greedy cost-based
 // orderer picks the clause order and the per-edge operators, then the
@@ -134,11 +123,27 @@ func (p *Plan) Provenance() *Provenance {
 func (p *Planner) Build(r pivot.CQ) (*Plan, error) { return p.build(r, nil) }
 
 // BuildOrdered builds a plan reusing a pre-chosen clause order instead of
-// searching. Prepared statements use this on every bind: the order was
-// picked once at prepare time, and since all binds place constants in the
-// same positions, it stays valid — only the per-clause operator choices
-// are re-derived (a linear pass).
+// searching: only the per-clause operator choices are derived (a linear
+// pass).
 func (p *Planner) BuildOrdered(r pivot.CQ, order []int) (*Plan, error) { return p.build(r, order) }
+
+// BuildParams builds one plan for a rewriting whose statement parameters
+// are the variables at the head positions headPos. Parameter i becomes the
+// slot exec.Arg(i): it is planned and priced as a constant in its
+// positions and filled from the execution's arguments when the plan
+// opens, so one plan serves every binding.
+func (p *Planner) BuildParams(r pivot.CQ, headPos []int) (*Plan, error) {
+	sub := pivot.NewSubst()
+	for i, pos := range headPos {
+		v, ok := r.Head.Args[pos].(pivot.Var)
+		if !ok {
+			// Fixed to a constant, the rewriting cannot serve other bindings.
+			return nil, fmt.Errorf("translate: head position %d of %v is not a parameter variable", pos, r)
+		}
+		sub[v] = pivot.Const{V: exec.Arg(i)}
+	}
+	return p.build(r.Apply(sub), nil)
+}
 
 func (p *Planner) build(r pivot.CQ, orderHint []int) (*Plan, error) {
 	frags := make([]*catalog.Fragment, len(r.Body))
@@ -180,14 +185,12 @@ func (p *Planner) build(r pivot.CQ, orderHint []int) (*Plan, error) {
 
 	groups := p.groupForDelegation(frags, order)
 	var root exec.Node
-	delegations := 0
 	delegated := map[int]bool{}
 	for _, g := range groups {
 		var node exec.Node
 		var err error
 		if len(g) > 1 {
 			node, err = p.buildDelegatedGroup(r, frags, g)
-			delegations++
 			for _, ai := range g {
 				delegated[ai] = true
 			}
@@ -283,15 +286,19 @@ func (p *Planner) build(r pivot.CQ, orderHint []int) (*Plan, error) {
 		}
 	}
 	return &Plan{
-		Root:        &exec.Distinct{In: final, SizeHint: sizeHint},
-		Rewriting:   r,
-		Cost:        cost,
-		EstRows:     rows,
-		Order:       order,
-		Delegations: delegations,
-		Clauses:     clauses,
-		StatsEpoch:  epoch,
-		FixedOrder:  p.FixedOrder,
+		Root:      &exec.Distinct{In: final, SizeHint: sizeHint},
+		Rewriting: r,
+		Cost:      cost,
+		Order:     order,
+		Clauses:   clauses,
+		prov: &Provenance{
+			Rewriting:  r.String(),
+			Cost:       cost,
+			EstRows:    rows,
+			StatsEpoch: epoch,
+			FixedOrder: p.FixedOrder,
+			Clauses:    clauses,
+		},
 	}, nil
 }
 
@@ -322,7 +329,7 @@ func (p *Planner) ChooseBest(rewritings []pivot.CQ) (*Plan, []*Plan, error) {
 		if plans[i].Cost != plans[j].Cost {
 			return plans[i].Cost < plans[j].Cost
 		}
-		return plans[i].Rewriting.String() < plans[j].Rewriting.String()
+		return plans[i].prov.Rewriting < plans[j].prov.Rewriting
 	})
 	return plans[0], plans, nil
 }
@@ -367,7 +374,7 @@ func (p *Planner) buildAtomLeaf(a pivot.Atom, f *catalog.Fragment, c *Container)
 		Name: fmt.Sprintf("%s.access(%s)", f.Store, f.Name),
 		Out:  rawSchema,
 		BatchFn: func(ec *exec.Ctx) (engine.BatchIterator, error) {
-			return c.Open(ec.Ctx(), filters, ec.StoreCounters(store))
+			return c.Open(ec.Ctx(), fillFilters(ec, filters, 0), ec.StoreCounters(store))
 		},
 	}
 	var node exec.Node = src
@@ -418,6 +425,18 @@ func atomAccessSpec(a pivot.Atom) (exec.Schema, []engine.EqFilter, [][2]int, []i
 	return raw, filters, eqCols, keep, nil
 }
 
+// fillFilters copies the pushed filters for one execution, with every
+// slot filled and room for extra more.
+//
+//lint:hot
+func fillFilters(ec *exec.Ctx, filters []engine.EqFilter, extra int) []engine.EqFilter {
+	out := make([]engine.EqFilter, len(filters), len(filters)+extra)
+	for i, f := range filters {
+		out[i] = engine.EqFilter{Col: f.Col, Val: ec.Fill(f.Val)}
+	}
+	return out
+}
+
 // buildBindJoin wires a dependent access: the given atom positions (the
 // access pattern's variable 'b' positions plus any planner-chosen
 // selective join columns) are fed from the left plan per distinct key;
@@ -449,7 +468,7 @@ func (p *Planner) buildBindJoin(left exec.Node, a pivot.Atom, f *catalog.Fragmen
 	}
 	store := f.Store
 	fetch := func(ec *exec.Ctx, bind value.Tuple) (engine.BatchIterator, error) {
-		filters := append([]engine.EqFilter(nil), constFilters...)
+		filters := fillFilters(ec, constFilters, len(bindPos))
 		for i, pos := range bindPos {
 			filters = append(filters, engine.EqFilter{Col: pos, Val: bind[i]})
 		}
@@ -514,13 +533,32 @@ func (p *Planner) buildDelegatedGroup(r pivot.CQ, frags []*catalog.Fragment, gro
 		Name: fmt.Sprintf("%s.delegate(%d atoms)", storeName, len(group)),
 		Out:  exec.Schema(outVars),
 		BatchFn: func(ec *exec.Ctx) (engine.BatchIterator, error) {
-			it, err := st.QueryBatchCounted(ec.Ctx(), dq, ec.StoreCounters(storeName))
+			it, err := st.QueryBatchCounted(ec.Ctx(), fillQuery(ec, dq), ec.StoreCounters(storeName))
 			if err != nil {
 				return nil, err
 			}
 			return engine.TimeBatches(st.LatencyHistogram(), it), nil
 		},
 	}, nil
+}
+
+// fillQuery returns a copy of a delegated subquery with every slot filled
+// from the execution's arguments.
+//
+//lint:hot
+func fillQuery(ec *exec.Ctx, q engine.DQuery) engine.DQuery {
+	atoms := make([]engine.DAtom, len(q.Atoms))
+	for i, a := range q.Atoms {
+		terms := make([]engine.DTerm, len(a.Terms))
+		for j, t := range a.Terms {
+			if !t.IsVar() {
+				t.Const = ec.Fill(t.Const)
+			}
+			terms[j] = t
+		}
+		atoms[i] = engine.DAtom{Collection: a.Collection, Terms: terms}
+	}
+	return engine.DQuery{Atoms: atoms, Out: q.Out}
 }
 
 // delegator is a store that evaluates whole conjunctive subqueries
